@@ -53,8 +53,9 @@ func NewClusterScoreClient(base string, opts ...cluster.ScoreClientOption) *Clus
 	return cluster.NewScoreClient(base, opts...)
 }
 
-// ClusterTxScoreItem is one transaction on the cluster /score/tx wire.
-type ClusterTxScoreItem = cluster.TxScoreItem
+// ClusterTxScoreItem is one transaction on the /score/tx wire (the same
+// type as TxScoreItem).
+type ClusterTxScoreItem = TxScoreItem
 
 // RemoteScorer adapts a cluster scoring endpoint (router or single replica)
 // onto both scorer surfaces — CodeScorer via /score and the transaction
@@ -86,10 +87,13 @@ func (r *RemoteScorer) Score(ctx context.Context, code []byte) (Verdict, error) 
 		label = Phishing
 	}
 	return Verdict{
-		Label:        label,
-		Confidence:   v.Confidence,
-		ModelName:    v.Model,
-		ModelVersion: v.ModelVersion,
+		Label:           label,
+		Confidence:      v.Confidence,
+		ModelName:       v.Model,
+		ModelVersion:    v.ModelVersion,
+		DeadCodeRatio:   v.DeadCodeRatio,
+		ScoreDivergence: v.ScoreDivergence,
+		EvasionSuspect:  v.EvasionSuspect,
 	}, nil
 }
 
@@ -108,11 +112,14 @@ func (r *RemoteScorer) ScoreTx(ctx context.Context, calldata, code []byte) (TxVe
 	}
 	v := vs[0]
 	return TxVerdict{
-		Phishing:    v.Phishing,
-		Confidence:  v.Confidence,
-		PayloadProb: v.PayloadProb,
-		CodeProb:    v.CodeProb,
-		Model:       v.Model,
-		Version:     v.ModelVersion,
+		Phishing:        v.Phishing,
+		Confidence:      v.Confidence,
+		PayloadProb:     v.PayloadProb,
+		CodeProb:        v.CodeProb,
+		Model:           v.Model,
+		Version:         v.ModelVersion,
+		DeadCodeRatio:   v.DeadCodeRatio,
+		ScoreDivergence: v.ScoreDivergence,
+		EvasionSuspect:  v.EvasionSuspect,
 	}, nil
 }

@@ -7,16 +7,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/phishinghook/phishinghook/internal/cluster"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/monitor"
 )
@@ -819,5 +822,187 @@ func TestWatchThroughClusterReplicaKill(t *testing.T) {
 	}
 	if truePos*2 < len(alerts) {
 		t.Errorf("alert precision %d/%d below 50%%", truePos, len(alerts))
+	}
+}
+
+// TestClusterEvasionTelemetrySurvivesRouter: a diluted mutant scored through
+// the router carries the same evasion telemetry as scored at the replica
+// itself, and RemoteScorer relays it into the Verdict a watcher alerts on.
+func TestClusterEvasionTelemetrySurvivesRouter(t *testing.T) {
+	ds, _ := testCorpus(t)
+	spec, err := ModelByName("Random Forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := Train(spec, ds, WithDetectorSeed(2),
+		WithCanonicalFeatures(), WithAdversarialAugment(0.5), WithEvasionTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(NewScoreHandler(det, WithClusterRole("replica")))
+	t.Cleanup(replica.Close)
+	rt, err := NewClusterRouter(ClusterConfig{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	var phish []byte
+	for _, s := range ds.Samples {
+		if s.Label == Phishing {
+			phish = s.Bytecode
+			break
+		}
+	}
+	diluted := dilute(phish, rand.New(rand.NewSource(1)))
+	body, err := json.Marshal(ScoreRequest{Bytecode: EncodeHex(diluted)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := func(base string) json.RawMessage {
+		resp, err := http.Post(base+"/score", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Verdicts json.RawMessage `json:"verdicts"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/score: status %d, decode %v", base, resp.StatusCode, err)
+		}
+		return out.Verdicts
+	}
+	direct, routed := verdicts(replica.URL), verdicts(front.URL)
+	if !bytes.Contains(direct, []byte(`"evasion_suspect":true`)) {
+		t.Fatalf("replica did not flag the diluted mutant: %s", direct)
+	}
+	if !bytes.Equal(routed, direct) {
+		t.Fatalf("router changed the verdict:\n routed %s\n direct %s", routed, direct)
+	}
+
+	v, err := NewRemoteScorer(front.URL).Score(context.Background(), diluted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.EvasionSuspect || v.DeadCodeRatio == 0 {
+		t.Fatalf("RemoteScorer dropped the evasion telemetry: %+v", v)
+	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestClusterBoundaryParity sends each malformed request to a replica and to
+// a router in front of it, on /score and /score/tx, and requires the same
+// status, kind and error body from both faces — the router validates with
+// the replica's own decoder, so a hostile request is refused before fan-out
+// exactly as the replica would refuse it.
+func TestClusterBoundaryParity(t *testing.T) {
+	replica := httptest.NewServer(NewScoreHandler(newClusterBackend("replica-0"),
+		WithClusterRole("replica"), WithTxScorer(newClusterTxBackend("replica-0"))))
+	t.Cleanup(replica.Close)
+	rt, err := NewClusterRouter(ClusterConfig{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	hexBytes := func(n int) string { return "0x" + strings.Repeat("60", n) }
+	list := func(item string, n int) string { return strings.Repeat(item+",", n-1) + item }
+	// overLimit marks the case whose body is streamed past MaxScoreBodyBytes.
+	const overLimit = "<over limit>"
+	cases := []struct {
+		name      string
+		method    string
+		score, tx string // request bodies; "" when the case has no form on that path
+		status    int
+		kind      string
+	}{
+		{"wrong method", http.MethodGet, `{}`, `{}`, http.StatusMethodNotAllowed, ""},
+		{"bad JSON", http.MethodPost, `{"bytecode":`, `{"tx":`, http.StatusBadRequest, ""},
+		{"body over limit", http.MethodPost, overLimit, overLimit, http.StatusRequestEntityTooLarge, ""},
+		{"no items", http.MethodPost, `{}`, `{"txs":[]}`, http.StatusBadRequest, ""},
+		{"batch over limit", http.MethodPost,
+			`{"bytecodes":[` + list(`"0x60"`, cluster.MaxScoreBatch+1) + `]}`,
+			`{"txs":[` + list(`{"calldata":"0x01"}`, cluster.MaxScoreBatch+1) + `]}`,
+			http.StatusRequestEntityTooLarge, ""},
+		{"bad hex", http.MethodPost, `{"bytecode":"0xzz"}`, `{"tx":{"code":"0xzz"}}`, http.StatusBadRequest, ""},
+		// An empty callee is an EOA, which /score/tx accepts.
+		{"empty bytecode", http.MethodPost, `{"bytecodes":["0x"]}`, "", http.StatusBadRequest, ""},
+		{"bytecode over EIP-170", http.MethodPost,
+			`{"bytecode":"` + hexBytes(cluster.MaxScoreItemBytes+1) + `"}`,
+			`{"tx":{"code":"` + hexBytes(cluster.MaxScoreItemBytes+1) + `"}}`,
+			http.StatusRequestEntityTooLarge, cluster.ErrKindBytecodeTooLarge},
+		{"calldata over cap", http.MethodPost, "",
+			`{"tx":{"calldata":"` + hexBytes(cluster.MaxTxCalldataBytes+1) + `"}}`,
+			http.StatusRequestEntityTooLarge, cluster.ErrKindCalldataTooLarge},
+	}
+	send := func(method, url, body string) (int, []byte) {
+		var r io.Reader = strings.NewReader(body)
+		if body == overLimit {
+			prefix := `{"bytecode":"0x`
+			if strings.HasSuffix(url, "/tx") {
+				prefix = `{"tx":{"calldata":"0x`
+			}
+			r = io.MultiReader(strings.NewReader(prefix), io.LimitReader(fillReader('0'), cluster.MaxScoreBodyBytes))
+		}
+		req, err := http.NewRequest(method, url, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body == overLimit {
+			// The handler's JSON decoder buffered ~64MB before the limit
+			// tripped; hand it back before the next request grows another.
+			debug.FreeOSMemory()
+		}
+		return resp.StatusCode, b
+	}
+	for _, tc := range cases {
+		for _, p := range []struct{ path, body string }{{"/score", tc.score}, {"/score/tx", tc.tx}} {
+			if p.body == "" {
+				continue
+			}
+			if p.body == overLimit && raceEnabled {
+				// Each over-limit decode buffers ~64MB (x2 for growth); under
+				// the race detector's shadow memory that is several hundred
+				// MB per request. The plain test run covers this case.
+				continue
+			}
+			name := tc.name + " " + p.path
+			repStatus, repBody := send(tc.method, replica.URL+p.path, p.body)
+			rtStatus, rtBody := send(tc.method, front.URL+p.path, p.body)
+			if repStatus != rtStatus || !bytes.Equal(repBody, rtBody) {
+				t.Fatalf("%s: replica %d %s vs router %d %s", name, repStatus, repBody, rtStatus, rtBody)
+			}
+			var e struct{ Error, Kind string }
+			if err := json.Unmarshal(repBody, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s: error body %q (%v)", name, repBody, err)
+			}
+			if repStatus != tc.status || e.Kind != tc.kind {
+				t.Fatalf("%s: status %d kind %q, want %d %q", name, repStatus, e.Kind, tc.status, tc.kind)
+			}
+		}
+	}
+	if s := rt.Stats(); s.Scored != 0 || s.Replicas[0].Requests != 0 {
+		t.Fatalf("router forwarded a malformed request: %+v", s)
 	}
 }

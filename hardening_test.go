@@ -87,6 +87,22 @@ func TestHardeningShrinksEvasionRate(t *testing.T) {
 	}
 }
 
+// dilute stuffs code with dead islands and benign grafts until it is mostly
+// unreachable filler — a mutant the evasion telemetry must flag.
+func dilute(code []byte, rng *rand.Rand) []byte {
+	for i := 0; i < 40; i++ {
+		for _, m := range adversary.AugmentMutators() {
+			if m.Name() != "dead-island" && m.Name() != "benign-graft" {
+				continue
+			}
+			if mut, err := m.Apply(code, rng); err == nil && len(mut) <= adversary.MaxMutantBytes {
+				code = mut
+			}
+		}
+	}
+	return code
+}
+
 // TestEvasionTelemetryFlagsMutants checks that dead-code dilution and proxy
 // wrapping trip the serving-time suspect flag while honest bytecode passes.
 func TestEvasionTelemetryFlagsMutants(t *testing.T) {
@@ -110,18 +126,7 @@ func TestEvasionTelemetryFlagsMutants(t *testing.T) {
 
 	// A mutant stuffed with dead islands crosses the dead-ratio threshold.
 	rng := rand.New(rand.NewSource(1))
-	diluted := phish
-	for i := 0; i < 40; i++ {
-		for _, m := range adversary.AugmentMutators() {
-			if m.Name() != "dead-island" && m.Name() != "benign-graft" {
-				continue
-			}
-			if mut, err := m.Apply(diluted, rng); err == nil && len(mut) <= adversary.MaxMutantBytes {
-				diluted = mut
-			}
-		}
-	}
-	v, err := hardened.Score(ctx, diluted)
+	v, err := hardened.Score(ctx, dilute(phish, rng))
 	if err != nil {
 		t.Fatal(err)
 	}

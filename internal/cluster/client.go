@@ -31,11 +31,12 @@ type ScoreClient struct {
 }
 
 // ReplicaFault is a typed transient failure of one exchange against a
-// scoring base: the transport died, the response arrived torn, or the body
-// ended mid-stream. The retry loop rotates to the next base on it.
+// scoring base: the transport died, the exchange timed out, the response
+// arrived torn, or the body ended mid-stream. The retry loop rotates to the
+// next base on it.
 type ReplicaFault struct {
 	Base string // the base URL the exchange ran against
-	Kind string // "transport", "disconnect", "torn", "mismatch"
+	Kind string // "transport", "timeout", "disconnect", "torn", "mismatch"
 	Err  error
 }
 
@@ -115,20 +116,20 @@ func NewScoreClient(base string, opts ...ScoreClientOption) *ScoreClient {
 // faults (replica restarts mid-roll, router admission 429s) before giving
 // up. All-or-nothing: on success the verdicts align with hexes.
 func (c *ScoreClient) ScoreHexBatch(ctx context.Context, hexes []string) ([]Verdict, error) {
-	return c.retry(ctx, func(base string) ([]Verdict, error) { return c.post(ctx, base, hexes) })
+	return c.retry(ctx, "/score", ScoreRequest{Bytecodes: hexes}, len(hexes))
 }
 
 // ScoreTxBatch scores transactions (hex calldata + hex callee bytecode;
 // either side may be empty) through /score/tx with the same retry loop.
 // All-or-nothing: on success the fused verdicts align with items.
 func (c *ScoreClient) ScoreTxBatch(ctx context.Context, items []TxScoreItem) ([]Verdict, error) {
-	return c.retry(ctx, func(base string) ([]Verdict, error) { return c.postTx(ctx, base, items) })
+	return c.retry(ctx, "/score/tx", TxScoreRequest{Txs: items}, len(items))
 }
 
-// retry drives one exchange function through the attempts/backoff schedule,
-// honoring a 429's Retry-After, stopping on authoritative errors, and
-// rotating to the next configured base after each transient fault.
-func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict, error)) ([]Verdict, error) {
+// retry drives one exchange through the attempts/backoff schedule, honoring
+// a 429's Retry-After, stopping on authoritative errors, and rotating to the
+// next configured base after each transient fault.
+func (c *ScoreClient) retry(ctx context.Context, path string, body any, n int) ([]Verdict, error) {
 	var lastErr error
 	backoff := c.backoff
 	base := 0
@@ -141,7 +142,7 @@ func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict
 			}
 			backoff *= 2
 		}
-		verdicts, err := do(c.bases[base])
+		verdicts, err := exchange(ctx, c.httpc, 0, c.bases[base], path, body, n)
 		if err == nil {
 			return verdicts, nil
 		}
@@ -154,56 +155,48 @@ func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict
 	return nil, fmt.Errorf("cluster: score failed after %d attempts: %w", c.attempts, lastErr)
 }
 
-// post runs one exchange, classified like the router's replica exchanges:
-// 429 → RateLimitError (transient, Retry-After attached), transport/5xx/
-// disconnect/torn → typed transient ReplicaFault, anything else
-// authoritative.
-func (c *ScoreClient) post(ctx context.Context, base string, hexes []string) ([]Verdict, error) {
-	body, err := json.Marshal(scoreRequest{Bytecodes: hexes})
+// exchange POSTs one scoring request body to base+path and decodes the
+// verdict envelope, expecting n verdicts. It is the one replica exchange of
+// the system — the router's sub-batches and ScoreClient both run it — and
+// classifies the outcome the way the JSON-RPC client does:
+//   - the caller's ctx ended: ctx.Err(), not transient, so nothing retries
+//     for a caller that stopped waiting;
+//   - the per-exchange timeout (when > 0) expired: a transient "timeout"
+//     ReplicaFault matching context.DeadlineExceeded, which the router's
+//     hung-replica watchdog counts;
+//   - 429: a transient RateLimitError carrying Retry-After (the plane's
+//     congestion signal);
+//   - transport fault, 5xx, disconnect, torn body or a verdict-count
+//     mismatch: a transient ReplicaFault (retry rotates away from base);
+//   - any other non-200: authoritative, with the server's error message.
+func exchange(ctx context.Context, httpc *http.Client, timeout time.Duration, base, path string, body any, n int) ([]Verdict, error) {
+	buf, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
 	}
-	sr, err := c.exchange(ctx, base, "/score", body)
-	if err != nil {
-		return nil, err
+	xctx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		xctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	if len(sr.Verdicts) != len(hexes) {
-		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d bytecodes", len(sr.Verdicts), len(hexes)))
+	fault := func(kind string, err error) error {
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case xctx.Err() != nil:
+			return replicaFault(base, "timeout", context.DeadlineExceeded)
+		}
+		return replicaFault(base, kind, err)
 	}
-	return sr.Verdicts, nil
-}
-
-// postTx runs one /score/tx exchange with the same outcome classification
-// as post.
-func (c *ScoreClient) postTx(ctx context.Context, base string, items []TxScoreItem) ([]Verdict, error) {
-	body, err := json.Marshal(txScoreRequest{Txs: items})
-	if err != nil {
-		return nil, err
-	}
-	sr, err := c.exchange(ctx, base, "/score/tx", body)
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Verdicts) != len(items) {
-		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d txs", len(sr.Verdicts), len(items)))
-	}
-	return sr.Verdicts, nil
-}
-
-// exchange POSTs one JSON body against base+path and decodes the verdict
-// envelope, applying the shared outcome classification.
-func (c *ScoreClient) exchange(ctx context.Context, base, path string, body []byte) (*scoreResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(xctx, http.MethodPost, base+path, bytes.NewReader(buf))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
+	resp, err := httpc.Do(req)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, replicaFault(base, "transport", err)
+		return nil, fault("transport", err)
 	}
 	defer resp.Body.Close()
 	switch {
@@ -217,14 +210,14 @@ func (c *ScoreClient) exchange(ctx context.Context, base, path string, body []by
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
 	}
-	var sr scoreResponse
+	var sr ScoreResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, replicaFault(base, disconnectKind(err), err)
+		return nil, fault(disconnectKind(err), err)
 	}
-	return &sr, nil
+	if len(sr.Verdicts) != n {
+		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d items", len(sr.Verdicts), n))
+	}
+	return sr.Verdicts, nil
 }
 
 // ReplicaState is one replica's answer to the cluster survey.

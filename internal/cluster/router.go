@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,52 +15,6 @@ import (
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/evm"
 )
-
-// Wire mirrors of the replica's /score JSON (serve.go). The router speaks
-// the identical format on both faces, so any /score client can point at a
-// router instead of a single replica without changing a byte.
-type scoreRequest struct {
-	Bytecode  string   `json:"bytecode,omitempty"`
-	Bytecodes []string `json:"bytecodes,omitempty"`
-}
-
-// Verdict is the wire form of one scoring decision as served by a replica.
-// The modality fields are populated only on /score/tx verdicts.
-type Verdict struct {
-	Label        string  `json:"label"`
-	Phishing     bool    `json:"phishing"`
-	Confidence   float64 `json:"confidence"`
-	Model        string  `json:"model"`
-	ModelVersion string  `json:"model_version,omitempty"`
-	Modality     string  `json:"modality,omitempty"`
-	PayloadProb  float64 `json:"payload_prob,omitempty"`
-	CodeProb     float64 `json:"code_prob,omitempty"`
-}
-
-// TxScoreItem is one transaction on the /score/tx wire: hex calldata plus
-// (optionally) the callee's hex bytecode. Mirrors serve.go's TxScoreItem.
-type TxScoreItem struct {
-	Calldata string `json:"calldata,omitempty"`
-	Code     string `json:"code,omitempty"`
-}
-
-type txScoreRequest struct {
-	Tx  *TxScoreItem  `json:"tx,omitempty"`
-	Txs []TxScoreItem `json:"txs,omitempty"`
-}
-
-type scoreResponse struct {
-	Verdict   *Verdict  `json:"verdict,omitempty"`
-	Verdicts  []Verdict `json:"verdicts"`
-	ElapsedMS float64   `json:"elapsed_ms"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-	// Kind is a machine-readable tag on typed policy rejections (e.g.
-	// "bytecode_too_large"); empty — and omitted — on ordinary errors.
-	Kind string `json:"kind,omitempty"`
-}
 
 // Config tunes a Router.
 type Config struct {
@@ -319,13 +271,6 @@ func (rt *Router) Stats() Stats {
 	return s
 }
 
-// group is one sub-batch bound for a single hash neighborhood.
-type group struct {
-	cands []*ethrpc.Node // candidate nodes, owner first
-	idx   []int          // positions in the original request
-	hexes []string       // forwarded bytecodes
-}
-
 // RouteBatch scores raw bytecodes across the ring and returns verdicts
 // aligned with codes. It is the Go-level routing core under the HTTP
 // handler; errors are all-or-nothing per call.
@@ -337,67 +282,14 @@ func (rt *Router) RouteBatch(ctx context.Context, codes [][]byte) ([]Verdict, er
 	return rt.route(ctx, codes, hexes)
 }
 
-// route fans one decoded batch out by hash neighborhood and reassembles the
-// verdicts in request order.
+// route fans a bytecode batch out over /score, keyed by each code's SHA-256.
+// The hexes are forwarded as given, never re-encoded from codes.
 func (rt *Router) route(ctx context.Context, codes [][]byte, hexes []string) ([]Verdict, error) {
-	nodes := rt.plane.Nodes()
-	groups := make(map[string]*group)
-	for i, code := range codes {
-		hood := rt.ring.Neighborhood(KeyOf(code), rt.cfg.Neighborhood)
-		gk := fmt.Sprint(hood)
-		g, ok := groups[gk]
-		if !ok {
-			g = &group{cands: make([]*ethrpc.Node, len(hood))}
-			for j, ri := range hood {
-				g.cands[j] = nodes[ri]
-			}
-			g.cands = rt.demoteEjected(g.cands)
-			groups[gk] = g
-		}
-		g.idx = append(g.idx, i)
-		g.hexes = append(g.hexes, hexes[i])
+	keys := make([][32]byte, len(codes))
+	for i, c := range codes {
+		keys[i] = KeyOf(c)
 	}
-
-	out := make([]Verdict, len(codes))
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(groups))
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			owner := g.cands[0]
-			verdicts, err := ethrpc.PlaneDo(ctx, rt.plane, g.cands, func(ctx context.Context, n *ethrpc.Node) ([]Verdict, error) {
-				vs, err := rt.post(ctx, n.Name(), g.hexes)
-				rt.watchdogObserve(n.Name(), err)
-				if err == nil && n != owner {
-					rt.rehashes.Add(1)
-				}
-				return vs, err
-			})
-			if err != nil {
-				rt.errored.Add(1)
-				errCh <- fmt.Errorf("cluster: sub-batch of %d via %s: %w", len(g.hexes), owner.Name(), err)
-				return
-			}
-			for j, v := range verdicts {
-				out[g.idx[j]] = v
-			}
-			rt.scored.Add(uint64(len(verdicts)))
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// txGroup is one transaction sub-batch bound for a single hash neighborhood.
-type txGroup struct {
-	cands []*ethrpc.Node // candidate nodes, owner first
-	idx   []int          // positions in the original request
-	items []TxScoreItem  // forwarded transactions
+	return fanOut(ctx, rt, "/score", keys, hexes, func(h []string) any { return ScoreRequest{Bytecodes: h} }, nil)
 }
 
 // RouteTxBatch routes transactions (hex calldata + callee bytecode) across
@@ -419,17 +311,36 @@ func (rt *Router) RouteTxBatch(ctx context.Context, items []TxScoreItem) ([]Verd
 	return rt.routeTx(ctx, items, keys)
 }
 
-// routeTx fans one transaction batch out by callee-code hash neighborhood
-// and reassembles the verdicts in request order.
+// routeTx fans a transaction batch out over /score/tx. Unless disabled, the
+// code-only fallback re-answers a sub-batch that failed on every candidate.
 func (rt *Router) routeTx(ctx context.Context, items []TxScoreItem, keys [][32]byte) ([]Verdict, error) {
+	var fallback func(context.Context, []TxScoreItem) ([]Verdict, error)
+	if !rt.cfg.DisableTxFallback {
+		fallback = rt.txCodeFallback
+	}
+	return fanOut(ctx, rt, "/score/tx", keys, items, func(t []TxScoreItem) any { return TxScoreRequest{Txs: t} }, fallback)
+}
+
+// fanOut groups items by the hash neighborhood of their keys, sends each
+// group to path as one sub-batch on its candidates in parallel, and
+// reassembles the verdicts in request order. envelope wraps a sub-batch in
+// path's request body; a non-nil fallback may re-answer a sub-batch that
+// failed on every candidate.
+func fanOut[T any](ctx context.Context, rt *Router, path string, keys [][32]byte, items []T,
+	envelope func([]T) any, fallback func(context.Context, []T) ([]Verdict, error)) ([]Verdict, error) {
+	type group struct {
+		cands []*ethrpc.Node // candidate nodes, owner first
+		idx   []int          // positions in the original request
+		items []T            // forwarded items
+	}
 	nodes := rt.plane.Nodes()
-	groups := make(map[string]*txGroup)
+	groups := make(map[string]*group)
 	for i, key := range keys {
 		hood := rt.ring.Neighborhood(key, rt.cfg.Neighborhood)
 		gk := fmt.Sprint(hood)
 		g, ok := groups[gk]
 		if !ok {
-			g = &txGroup{cands: make([]*ethrpc.Node, len(hood))}
+			g = &group{cands: make([]*ethrpc.Node, len(hood))}
 			for j, ri := range hood {
 				g.cands[j] = nodes[ri]
 			}
@@ -445,26 +356,26 @@ func (rt *Router) routeTx(ctx context.Context, items []TxScoreItem, keys [][32]b
 	errCh := make(chan error, len(groups))
 	for _, g := range groups {
 		wg.Add(1)
-		go func(g *txGroup) {
+		go func(g *group) {
 			defer wg.Done()
 			owner := g.cands[0]
 			verdicts, err := ethrpc.PlaneDo(ctx, rt.plane, g.cands, func(ctx context.Context, n *ethrpc.Node) ([]Verdict, error) {
-				vs, err := rt.postTx(ctx, n.Name(), g.items)
+				vs, err := exchange(ctx, rt.httpc, rt.cfg.Timeout, n.Name(), path, envelope(g.items), len(g.items))
 				rt.watchdogObserve(n.Name(), err)
 				if err == nil && n != owner {
 					rt.rehashes.Add(1)
 				}
 				return vs, err
 			})
-			if err != nil && !rt.cfg.DisableTxFallback && ctx.Err() == nil {
-				if fvs, ferr := rt.txCodeFallback(ctx, g.items); ferr == nil {
+			if err != nil && fallback != nil && ctx.Err() == nil {
+				if fvs, ferr := fallback(ctx, g.items); ferr == nil {
 					rt.degraded.Add(uint64(len(fvs)))
 					verdicts, err = fvs, nil
 				}
 			}
 			if err != nil {
 				rt.errored.Add(1)
-				errCh <- fmt.Errorf("cluster: tx sub-batch of %d via %s: %w", len(g.items), owner.Name(), err)
+				errCh <- fmt.Errorf("cluster: %s sub-batch of %d via %s: %w", path, len(g.items), owner.Name(), err)
 				return
 			}
 			for j, v := range verdicts {
@@ -509,125 +420,12 @@ func (rt *Router) txCodeFallback(ctx context.Context, items []TxScoreItem) ([]Ve
 			return nil, err
 		}
 		for j, v := range vs {
-			out[pos[j]] = Verdict{
-				Label:        v.Label,
-				Phishing:     v.Phishing,
-				Confidence:   v.Confidence,
-				Model:        v.Model,
-				ModelVersion: v.ModelVersion,
-				Modality:     "tx",
-				CodeProb:     v.Confidence,
-			}
+			v.Modality, v.CodeProb = "tx", v.Confidence
+			out[pos[j]] = v
 		}
 	}
 	return out, nil
 }
-
-// postTx runs one /score/tx exchange against a replica with the same outcome
-// classification as post.
-func (rt *Router) postTx(ctx context.Context, base string, items []TxScoreItem) ([]Verdict, error) {
-	body, err := json.Marshal(txScoreRequest{Txs: items})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/score/tx", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, ethrpc.MarkTransient(context.DeadlineExceeded)
-		}
-		return nil, ethrpc.MarkTransient(fmt.Errorf("transport: %w", err))
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))
-		return nil, ethrpc.MarkTransient(&ethrpc.RateLimitError{RetryAfter: ra})
-	case resp.StatusCode >= 500:
-		return nil, ethrpc.MarkTransient(fmt.Errorf("replica status %d", resp.StatusCode))
-	case resp.StatusCode != http.StatusOK:
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("replica status %d: %s", resp.StatusCode, e.Error)
-	}
-	var sr scoreResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, ethrpc.MarkTransient(fmt.Errorf("torn response: %w", err))
-	}
-	if len(sr.Verdicts) != len(items) {
-		return nil, ethrpc.MarkTransient(fmt.Errorf("replica answered %d verdicts for %d txs", len(sr.Verdicts), len(items)))
-	}
-	return sr.Verdicts, nil
-}
-
-// post runs one /score exchange against a replica, classifying the outcome
-// the way the JSON-RPC client does: 429 surfaces as a RateLimitError (the
-// plane's congestion signal, Retry-After attached), transport faults, 5xx
-// and torn responses as transient (retry rotates to a ring neighbor), and
-// anything else as authoritative.
-func (rt *Router) post(ctx context.Context, base string, hexes []string) ([]Verdict, error) {
-	body, err := json.Marshal(scoreRequest{Bytecodes: hexes})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/score", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, ethrpc.MarkTransient(context.DeadlineExceeded)
-		}
-		return nil, ethrpc.MarkTransient(fmt.Errorf("transport: %w", err))
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))
-		return nil, ethrpc.MarkTransient(&ethrpc.RateLimitError{RetryAfter: ra})
-	case resp.StatusCode >= 500:
-		return nil, ethrpc.MarkTransient(fmt.Errorf("replica status %d", resp.StatusCode))
-	case resp.StatusCode != http.StatusOK:
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("replica status %d: %s", resp.StatusCode, e.Error)
-	}
-	var sr scoreResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, ethrpc.MarkTransient(fmt.Errorf("torn response: %w", err))
-	}
-	if len(sr.Verdicts) != len(hexes) {
-		return nil, ethrpc.MarkTransient(fmt.Errorf("replica answered %d verdicts for %d bytecodes", len(sr.Verdicts), len(hexes)))
-	}
-	return sr.Verdicts, nil
-}
-
-// Same request bounds as the replica-side handler (serve.go): the router
-// enforces them before fan-out so an oversized request is refused in one
-// place. The per-item caps mirror serve.go's input hardening — EIP-170 for
-// deployed bytecode, a work bound for calldata — so a hostile item never
-// even reaches a replica.
-const (
-	maxScoreBatch      = 1024
-	maxScoreBodyBytes  = 64 << 20
-	maxScoreItemBytes  = 24576
-	maxTxCalldataBytes = 128 << 10
-)
-
-const (
-	errKindBytecodeTooLarge = "bytecode_too_large"
-	errKindCalldataTooLarge = "calldata_too_large"
-)
 
 // retryAfterSeconds is the jittered backpressure hint attached to a 429:
 // uniformly 50–150ms, in the same fractional-seconds format the ethrpc
@@ -652,7 +450,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/score", rt.handleScore)
 	mux.HandleFunc("/score/tx", rt.handleTxScore)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":         "ok",
 			"role":           "router",
 			"replicas":       rt.ring.Replicas(),
@@ -662,203 +460,97 @@ func (rt *Router) Handler() http.Handler {
 		})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "role": "router"})
+		WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": "router"})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		rt.writeMetrics(w)
 	})
 	mux.HandleFunc("/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		rep, err := rt.RollingPromote(r.Context())
 		if err != nil {
-			writeJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error(), "rolling": rep})
+			WriteJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error(), "rolling": rep})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"rolling": rep})
+		WriteJSON(w, http.StatusOK, map[string]any{"rolling": rep})
 	})
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		rep, err := rt.RollingReload(r.Context())
 		if err != nil {
-			writeJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error(), "rolling": rep})
+			WriteJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error(), "rolling": rep})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"rolling": rep})
+		WriteJSON(w, http.StatusOK, map[string]any{"rolling": rep})
 	})
 	mux.HandleFunc("/admin/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"replicas": rt.Survey(r.Context())})
+		WriteJSON(w, http.StatusOK, map[string]any{"replicas": rt.Survey(r.Context())})
 	})
 	return mux
 }
 
 func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	if r.Method == http.MethodPost {
+		rt.requests.Add(1)
+	}
+	req, ok := DecodeScoreRequest(w, r)
+	if !ok || !rt.admit(w, len(req.Codes), "bytecodes") {
 		return
 	}
-	rt.requests.Add(1)
-	var req scoreRequest
-	body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "bad JSON: %v", err)
-		return
-	}
-	hexes := req.Bytecodes
-	hasSingle := req.Bytecode != ""
-	if hasSingle {
-		hexes = append([]string{req.Bytecode}, hexes...)
-	}
-	if len(hexes) == 0 {
-		writeError(w, http.StatusBadRequest, "no bytecode in request")
-		return
-	}
-	if len(hexes) > maxScoreBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(hexes), maxScoreBatch)
-		return
-	}
-	codes := make([][]byte, len(hexes))
-	for i, h := range hexes {
-		code, err := evm.DecodeHex(h)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bytecode %d: %v", i, err)
-			return
-		}
-		if len(code) == 0 {
-			writeError(w, http.StatusBadRequest, "bytecode %d: empty", i)
-			return
-		}
-		if len(code) > maxScoreItemBytes {
-			writeErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-				"bytecode %d: %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(code), maxScoreItemBytes)
-			return
-		}
-		codes[i] = code
-	}
-
-	// Admission control: a full queue answers 429 + jittered Retry-After —
-	// a typed backpressure signal clients (and this router's own plane,
-	// when stacked) already know how to honor — never an undifferentiated
-	// 503 or an unbounded pileup.
-	n := int64(len(codes))
-	if rt.pending.Add(n) > int64(rt.cfg.MaxPending) {
-		rt.pending.Add(-n)
-		rt.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "router saturated: %d bytecodes pending (max %d)", rt.pending.Load(), rt.cfg.MaxPending)
-		return
-	}
-	defer rt.pending.Add(-n)
-
+	defer rt.pending.Add(-int64(len(req.Codes)))
 	t0 := time.Now()
-	verdicts, err := rt.route(r.Context(), codes, hexes)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "route: %v", err)
-		return
-	}
-	resp := scoreResponse{
-		Verdicts:  verdicts,
-		ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-	}
-	if hasSingle {
-		resp.Verdict = &resp.Verdicts[0]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	verdicts, err := rt.route(r.Context(), req.Codes, req.Hexes)
+	respond(w, verdicts, err, req.Single, t0)
 }
 
 func (rt *Router) handleTxScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	if r.Method == http.MethodPost {
+		rt.requests.Add(1)
+	}
+	req, ok := DecodeTxScoreRequest(w, r)
+	if !ok || !rt.admit(w, len(req.Items), "items") {
 		return
 	}
-	rt.requests.Add(1)
-	var req txScoreRequest
-	body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "bad JSON: %v", err)
-		return
-	}
-	items := req.Txs
-	hasSingle := req.Tx != nil
-	if hasSingle {
-		items = append([]TxScoreItem{*req.Tx}, items...)
-	}
-	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, "no transaction in request")
-		return
-	}
-	if len(items) > maxScoreBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(items), maxScoreBatch)
-		return
-	}
-	keys := make([][32]byte, len(items))
-	for i, it := range items {
-		// Either side may be empty (EOA callee / plain transfer); both
-		// hexes still have to parse before fan-out.
-		calldata, err := evm.DecodeHex(it.Calldata)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "tx %d calldata: %v", i, err)
-			return
-		}
-		if len(calldata) > maxTxCalldataBytes {
-			writeErrorKind(w, http.StatusRequestEntityTooLarge, errKindCalldataTooLarge,
-				"tx %d: calldata of %d bytes exceeds cap %d", i, len(calldata), maxTxCalldataBytes)
-			return
-		}
-		code, err := evm.DecodeHex(it.Code)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "tx %d code: %v", i, err)
-			return
-		}
-		if len(code) > maxScoreItemBytes {
-			writeErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-				"tx %d: code of %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(code), maxScoreItemBytes)
-			return
-		}
+	defer rt.pending.Add(-int64(len(req.Items)))
+	keys := make([][32]byte, len(req.Items))
+	for i, code := range req.Code {
 		keys[i] = KeyOf(code)
 	}
-
-	// Same admission control as /score: a full queue answers 429 + jittered
-	// Retry-After rather than queuing unboundedly.
-	n := int64(len(items))
-	if rt.pending.Add(n) > int64(rt.cfg.MaxPending) {
-		rt.pending.Add(-n)
-		rt.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "router saturated: %d items pending (max %d)", rt.pending.Load(), rt.cfg.MaxPending)
-		return
-	}
-	defer rt.pending.Add(-n)
-
 	t0 := time.Now()
-	verdicts, err := rt.routeTx(r.Context(), items, keys)
+	verdicts, err := rt.routeTx(r.Context(), req.Items, keys)
+	respond(w, verdicts, err, req.Single, t0)
+}
+
+// admit reserves n items against MaxPending. A full queue answers 429 +
+// jittered Retry-After — a typed backpressure signal clients (and this
+// router's own plane, when stacked) already know how to honor — never an
+// undifferentiated 503 or an unbounded pileup. The caller releases an
+// admitted reservation.
+func (rt *Router) admit(w http.ResponseWriter, n int, noun string) bool {
+	if rt.pending.Add(int64(n)) <= int64(rt.cfg.MaxPending) {
+		return true
+	}
+	rt.pending.Add(-int64(n))
+	rt.rejected.Add(1)
+	w.Header().Set("Retry-After", retryAfterSeconds())
+	WriteError(w, http.StatusTooManyRequests, "router saturated: %d %s pending (max %d)", rt.pending.Load(), noun, rt.cfg.MaxPending)
+	return false
+}
+
+// respond answers a routed request: 502 when routing failed, else the
+// verdict envelope.
+func respond(w http.ResponseWriter, verdicts []Verdict, err error, single bool, t0 time.Time) {
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "route: %v", err)
+		WriteError(w, http.StatusBadGateway, "route: %v", err)
 		return
 	}
-	resp := scoreResponse{
-		Verdicts:  verdicts,
-		ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-	}
-	if hasSingle {
-		resp.Verdict = &resp.Verdicts[0]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteScoreResponse(w, verdicts, single, t0)
 }
 
 // writeMetrics renders the phishinghook_cluster_* Prometheus series by hand
@@ -915,19 +607,4 @@ func (rt *Router) writeMetrics(w http.ResponseWriter) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeErrorKind is writeError plus the machine-readable kind tag.
-func writeErrorKind(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})
 }

@@ -30,16 +30,16 @@ func (s *stubReplica) handler() http.Handler {
 		if s.stall(r) {
 			return
 		}
-		var req scoreRequest
+		var req ScoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
 		vs := make([]Verdict, len(req.Bytecodes))
 		for i := range vs {
 			vs[i] = Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub", ModelVersion: "v1"}
 		}
-		writeJSON(w, http.StatusOK, scoreResponse{Verdicts: vs})
+		WriteJSON(w, http.StatusOK, ScoreResponse{Verdicts: vs})
 	})
 	mux.HandleFunc("/score/tx", func(w http.ResponseWriter, r *http.Request) {
 		s.calls.Add(1)
@@ -47,12 +47,12 @@ func (s *stubReplica) handler() http.Handler {
 			return
 		}
 		if s.txDown.Load() {
-			writeError(w, http.StatusInternalServerError, "calldata model faulted")
+			WriteError(w, http.StatusInternalServerError, "calldata model faulted")
 			return
 		}
-		var req txScoreRequest
+		var req TxScoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
 		vs := make([]Verdict, len(req.Txs))
@@ -60,7 +60,7 @@ func (s *stubReplica) handler() http.Handler {
 			vs[i] = Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub",
 				Modality: "tx", PayloadProb: 0.8, CodeProb: 0.9}
 		}
-		writeJSON(w, http.StatusOK, scoreResponse{Verdicts: vs})
+		WriteJSON(w, http.StatusOK, ScoreResponse{Verdicts: vs})
 	})
 	return mux
 }

@@ -224,8 +224,8 @@ func (w *Watcher) Stats() Stats {
 		SeenUnique:      judged,
 		CodeCacheHits:   hits,
 		CodeCacheMisses: misses,
-		ScoreP50MS:      float64(w.ctr.latency.quantile(0.50)) / float64(time.Millisecond),
-		ScoreP99MS:      float64(w.ctr.latency.quantile(0.99)) / float64(time.Millisecond),
+		ScoreP50MS:      float64(w.ctr.latency.Quantile(0.50)) / float64(time.Millisecond),
+		ScoreP99MS:      float64(w.ctr.latency.Quantile(0.99)) / float64(time.Millisecond),
 	}
 }
 
@@ -411,7 +411,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		}
 		start := time.Now()
 		if v, err = w.scorer.ScoreTx(ctx, tx.Calldata, code); err == nil {
-			w.ctr.latency.observe(time.Since(start))
+			w.ctr.latency.Observe(time.Since(start))
 			break
 		}
 		if ctx.Err() != nil {

@@ -13,54 +13,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/phishinghook/phishinghook/internal/cluster"
 	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
-// ScoreRequest is the POST /score payload: one bytecode, a batch, or both.
-// When both fields are set, the request is treated as a batch of
-// [bytecode, bytecodes...]: every entry is scored, `verdicts` aligns with
-// that concatenation, and `verdict` carries the `bytecode` entry's verdict.
-type ScoreRequest struct {
-	// Bytecode is one 0x-prefixed hex bytecode.
-	Bytecode string `json:"bytecode,omitempty"`
-	// Bytecodes is a batch of 0x-prefixed hex bytecodes.
-	Bytecodes []string `json:"bytecodes,omitempty"`
-}
-
-// ScoreVerdict is the wire form of a Verdict.
-type ScoreVerdict struct {
-	Label      string  `json:"label"`
-	Phishing   bool    `json:"phishing"`
-	Confidence float64 `json:"confidence"`
-	Model      string  `json:"model"`
-	// ModelVersion is the lifecycle version that scored (omitted when
-	// serving a bare, unversioned Detector).
-	ModelVersion string `json:"model_version,omitempty"`
-	// Modality distinguishes the scored artifact: omitted (implicitly
-	// "contract") for bytecode verdicts — keeping existing contract verdict
-	// JSON byte-for-byte identical — or "tx" for fused transaction verdicts.
-	Modality string `json:"modality,omitempty"`
-	// PayloadProb and CodeProb are the fused tx verdict's components
-	// (tx modality only; a zero contribution — empty calldata, EOA callee —
-	// is omitted).
-	PayloadProb float64 `json:"payload_prob,omitempty"`
-	CodeProb    float64 `json:"code_prob,omitempty"`
-	// Evasion telemetry (WithEvasionTelemetry only). All omitempty: a
-	// detector without telemetry emits verdict JSON byte-for-byte identical
-	// to before the fields existed.
-	DeadCodeRatio   float64 `json:"dead_code_ratio,omitempty"`
-	ScoreDivergence float64 `json:"score_divergence,omitempty"`
-	EvasionSuspect  bool    `json:"evasion_suspect,omitempty"`
-}
-
-// ScoreResponse is the POST /score reply. Verdicts aligns with the request
-// order ([bytecode, bytecodes...]); Verdict is set whenever the request's
-// `bytecode` field was present and points at that entry's verdict.
-type ScoreResponse struct {
-	Verdict   *ScoreVerdict  `json:"verdict,omitempty"`
-	Verdicts  []ScoreVerdict `json:"verdicts"`
-	ElapsedMS float64        `json:"elapsed_ms"`
-}
+// The scoring wire format lives in internal/cluster, shared by replica,
+// router and client; these aliases keep it on the public surface.
+type (
+	// ScoreRequest is the POST /score payload: one bytecode, a batch, or
+	// both ([bytecode, bytecodes...]).
+	ScoreRequest = cluster.ScoreRequest
+	// ScoreVerdict is the wire form of a Verdict or TxVerdict.
+	ScoreVerdict = cluster.Verdict
+	// ScoreResponse is the /score and /score/tx reply.
+	ScoreResponse = cluster.ScoreResponse
+	// TxScoreItem is one transaction to judge: hex calldata plus
+	// (optionally) the callee's hex bytecode.
+	TxScoreItem = cluster.TxScoreItem
+	// TxScoreRequest is the POST /score/tx payload: one tx, a batch, or both.
+	TxScoreRequest = cluster.TxScoreRequest
+)
 
 func toWire(v Verdict) ScoreVerdict {
 	return ScoreVerdict{
@@ -73,23 +45,6 @@ func toWire(v Verdict) ScoreVerdict {
 		ScoreDivergence: v.ScoreDivergence,
 		EvasionSuspect:  v.EvasionSuspect,
 	}
-}
-
-// TxScoreItem is one transaction to judge: its calldata plus (optionally)
-// its callee's deployed bytecode. Either side may be empty — a plain value
-// transfer has no calldata, an EOA callee has no code — but not both.
-type TxScoreItem struct {
-	// Calldata is the 0x-prefixed hex transaction input.
-	Calldata string `json:"calldata,omitempty"`
-	// Code is the callee's 0x-prefixed hex deployed bytecode.
-	Code string `json:"code,omitempty"`
-}
-
-// TxScoreRequest is the POST /score/tx payload: one transaction, a batch, or
-// both (the single tx joins the batch at position 0, mirroring /score).
-type TxScoreRequest struct {
-	Tx  *TxScoreItem  `json:"tx,omitempty"`
-	Txs []TxScoreItem `json:"txs,omitempty"`
 }
 
 func txToWire(v TxVerdict) ScoreVerdict {
@@ -111,32 +66,6 @@ func txToWire(v TxVerdict) ScoreVerdict {
 		EvasionSuspect:  v.EvasionSuspect,
 	}
 }
-
-// maxScoreBatch bounds one request's batch size and maxScoreBodyBytes one
-// request's wire size (backpressure; larger workloads should stream
-// multiple requests). Deployed EVM bytecode tops out at 24KB (48KB hex),
-// so the body limit comfortably fits a full batch.
-const (
-	maxScoreBatch     = 1024
-	maxScoreBodyBytes = 64 << 20
-)
-
-// Per-item input hardening. A deployed EVM contract is capped at 24576
-// bytes by EIP-170, so anything larger is not bytecode that can exist on
-// chain — reject it at the boundary instead of burning featurizer time on
-// it. Calldata has no protocol cap, but block gas limits keep honest
-// payloads far below 128KB; the cap bounds worst-case work per item. Both
-// rejections are typed ("kind" in the error body) so clients can tell a
-// policy rejection from a malformed request.
-const (
-	maxScoreItemBytes  = 24576
-	maxTxCalldataBytes = 128 << 10
-)
-
-const (
-	errKindBytecodeTooLarge = "bytecode_too_large"
-	errKindCalldataTooLarge = "calldata_too_large"
-)
 
 // ScoreBackend is the surface NewScoreHandler serves: both *Detector (one
 // immutable model for the life of the process) and *Swappable (the lifecycle
@@ -269,71 +198,21 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+		req, ok := cluster.DecodeScoreRequest(w, r)
+		if !ok {
 			return
-		}
-		var req ScoreRequest
-		body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			httpError(w, status, "bad JSON: %v", err)
-			return
-		}
-		// The single field joins the batch at position 0; its verdict is
-		// surfaced through resp.Verdict even when a batch rides along.
-		hexes := req.Bytecodes
-		hasSingle := req.Bytecode != ""
-		if hasSingle {
-			hexes = append([]string{req.Bytecode}, hexes...)
-		}
-		if len(hexes) == 0 {
-			httpError(w, http.StatusBadRequest, "no bytecode in request")
-			return
-		}
-		if len(hexes) > maxScoreBatch {
-			httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(hexes), maxScoreBatch)
-			return
-		}
-		codes := make([][]byte, len(hexes))
-		for i, h := range hexes {
-			code, err := DecodeHex(h)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bytecode %d: %v", i, err)
-				return
-			}
-			if len(code) == 0 {
-				httpError(w, http.StatusBadRequest, "bytecode %d: empty", i)
-				return
-			}
-			if len(code) > maxScoreItemBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-					"bytecode %d: %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(code), maxScoreItemBytes)
-				return
-			}
-			codes[i] = code
 		}
 		t0 := time.Now()
-		verdicts, err := d.ScoreBatch(r.Context(), codes)
+		verdicts, err := d.ScoreBatch(r.Context(), req.Codes)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "score: %v", err)
+			cluster.WriteError(w, http.StatusInternalServerError, "score: %v", err)
 			return
 		}
-		resp := ScoreResponse{
-			Verdicts:  make([]ScoreVerdict, len(verdicts)),
-			ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-		}
+		out := make([]ScoreVerdict, len(verdicts))
 		for i, v := range verdicts {
-			resp.Verdicts[i] = toWire(v)
+			out[i] = toWire(v)
 		}
-		if hasSingle {
-			resp.Verdict = &resp.Verdicts[0]
-		}
-		writeJSON(w, http.StatusOK, resp)
+		cluster.WriteScoreResponse(w, out, req.Single, t0)
 	})
 	if state.txScorer != nil {
 		mux.HandleFunc("/score/tx", func(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +246,7 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 		if state.txWatcher != nil {
 			body["tx_monitor"] = state.txWatcher.Stats()
 		}
-		writeJSON(w, http.StatusOK, body)
+		cluster.WriteJSON(w, http.StatusOK, body)
 	})
 	// Readiness is distinct from liveness: /healthz answers 200 as long as
 	// the process is up, while /readyz flips unready whenever the backend is
@@ -383,10 +262,10 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 			reason = "model swap in progress"
 		}
 		if reason != "" {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "role": state.role, "reason": reason})
+			cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "role": state.role, "reason": reason})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "role": state.role})
+		cluster.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": state.role})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeMetrics(w, d, state)
@@ -411,76 +290,21 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 // fuse-score each (calldata, code) pair, and answer Modality="tx" verdicts
 // in request order.
 func serveTxScore(w http.ResponseWriter, r *http.Request, ts TxScorer) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	req, ok := cluster.DecodeTxScoreRequest(w, r)
+	if !ok {
 		return
-	}
-	var req TxScoreRequest
-	body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "bad JSON: %v", err)
-		return
-	}
-	items := req.Txs
-	hasSingle := req.Tx != nil
-	if hasSingle {
-		items = append([]TxScoreItem{*req.Tx}, items...)
-	}
-	if len(items) == 0 {
-		httpError(w, http.StatusBadRequest, "no tx in request")
-		return
-	}
-	if len(items) > maxScoreBatch {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(items), maxScoreBatch)
-		return
-	}
-	type decoded struct{ calldata, code []byte }
-	txs := make([]decoded, len(items))
-	for i, item := range items {
-		var err error
-		if item.Calldata != "" {
-			if txs[i].calldata, err = DecodeHex(item.Calldata); err != nil {
-				httpError(w, http.StatusBadRequest, "tx %d calldata: %v", i, err)
-				return
-			}
-			if len(txs[i].calldata) > maxTxCalldataBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindCalldataTooLarge,
-					"tx %d: calldata of %d bytes exceeds cap %d", i, len(txs[i].calldata), maxTxCalldataBytes)
-				return
-			}
-		}
-		if item.Code != "" {
-			if txs[i].code, err = DecodeHex(item.Code); err != nil {
-				httpError(w, http.StatusBadRequest, "tx %d code: %v", i, err)
-				return
-			}
-			if len(txs[i].code) > maxScoreItemBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-					"tx %d: code of %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(txs[i].code), maxScoreItemBytes)
-				return
-			}
-		}
 	}
 	t0 := time.Now()
-	resp := ScoreResponse{Verdicts: make([]ScoreVerdict, len(txs))}
-	for i := range txs {
-		v, err := ts.ScoreTx(r.Context(), txs[i].calldata, txs[i].code)
+	out := make([]ScoreVerdict, len(req.Items))
+	for i := range req.Items {
+		v, err := ts.ScoreTx(r.Context(), req.Calldata[i], req.Code[i])
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "score tx %d: %v", i, err)
+			cluster.WriteError(w, http.StatusInternalServerError, "score tx %d: %v", i, err)
 			return
 		}
-		resp.Verdicts[i] = txToWire(v)
+		out[i] = txToWire(v)
 	}
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	if hasSingle {
-		resp.Verdict = &resp.Verdicts[0]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	cluster.WriteScoreResponse(w, out, req.Single, t0)
 }
 
 // mountAdmin wires the champion/challenger admin surface onto the mux.
@@ -496,30 +320,30 @@ func mountAdmin(mux *http.ServeMux, lc *Lifecycle) {
 	}
 	mux.HandleFunc("/admin/versions", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
+			cluster.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
 		body := liveState()
 		body["versions"] = lc.Versions()
-		writeJSON(w, http.StatusOK, body)
+		cluster.WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+			cluster.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		changed, err := lc.Reload()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "reload: %v", err)
+			cluster.WriteError(w, http.StatusInternalServerError, "reload: %v", err)
 			return
 		}
 		body := liveState()
 		body["changed"] = changed
-		writeJSON(w, http.StatusOK, body)
+		cluster.WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+			cluster.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		id, err := lc.Promote()
@@ -530,12 +354,12 @@ func mountAdmin(mux *http.ServeMux, lc *Lifecycle) {
 			if _, _, ok := lc.Handle().Challenger(); !ok {
 				status = http.StatusConflict
 			}
-			httpError(w, status, "promote: %v", err)
+			cluster.WriteError(w, status, "promote: %v", err)
 			return
 		}
 		body := liveState()
 		body["promoted"] = id
-		writeJSON(w, http.StatusOK, body)
+		cluster.WriteJSON(w, http.StatusOK, body)
 	})
 }
 
@@ -762,7 +586,7 @@ func mountPoisonAdmin(mux *http.ServeMux, tw *TxWatcher) {
 		switch r.Method {
 		case http.MethodGet:
 			entries := tw.PoisonList()
-			writeJSON(w, http.StatusOK, map[string]any{"pending": len(entries), "entries": entries})
+			cluster.WriteJSON(w, http.StatusOK, map[string]any{"pending": len(entries), "entries": entries})
 		case http.MethodPost:
 			var req struct {
 				Action string `json:"action"`
@@ -776,31 +600,14 @@ func mountPoisonAdmin(mux *http.ServeMux, tw *TxWatcher) {
 			switch req.Action {
 			case "", "drain", "retry":
 				res := tw.DrainPoison(r.Context())
-				writeJSON(w, http.StatusOK, map[string]any{"drain": res, "pending": len(tw.PoisonList())})
+				cluster.WriteJSON(w, http.StatusOK, map[string]any{"drain": res, "pending": len(tw.PoisonList())})
 			default:
-				httpError(w, http.StatusBadRequest, "unknown poison action %q (want drain)", req.Action)
+				cluster.WriteError(w, http.StatusBadRequest, "unknown poison action %q (want drain)", req.Action)
 			}
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "use GET to list, POST to drain")
+			cluster.WriteError(w, http.StatusMethodNotAllowed, "use GET to list, POST to drain")
 		}
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// httpErrorKind is httpError plus a machine-readable "kind" so clients can
-// branch on policy rejections without parsing the message. Plain httpError
-// bodies stay exactly as they were.
-func httpErrorKind(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...), "kind": kind})
 }
 
 // Server wraps http.Server with the production posture a scoring replica
@@ -831,7 +638,7 @@ func NewServer(addr string, handler http.Handler) *Server {
 		Addr: addr,
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if s.draining.Load() && r.URL.Path == "/readyz" {
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+				cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 				return
 			}
 			handler.ServeHTTP(w, r)
