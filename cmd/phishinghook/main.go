@@ -840,6 +840,21 @@ func loadOrTrainPayloadDetector(path string, seed int64, sim *ph.Simulation) (*p
 	return ph.Train(spec, sim.TxDataset(), opts...)
 }
 
+// openAlertSinks builds the alert sinks the watch, backfill and txwatch
+// commands share: the log sink, plus an appending JSONL file when path is
+// set. Call closeSinks when the command returns.
+func openAlertSinks(path string) (sinks []ph.AlertSink, closeSinks func(), err error) {
+	sinks = []ph.AlertSink{ph.NewLogSink(nil)}
+	if path == "" {
+		return sinks, func() {}, nil
+	}
+	jsonl, err := ph.OpenJSONLSink(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(sinks, jsonl), func() { jsonl.Close() }, nil
+}
+
 func cmdTxWatch(args []string) error {
 	fs := flag.NewFlagSet("txwatch", flag.ExitOnError)
 	rpcURL := fs.String("rpc", "", "JSON-RPC endpoint (default: in-process simulation)")
@@ -944,15 +959,11 @@ func cmdTxWatch(args []string) error {
 	fmt.Printf("judging txs with %s + %s fused (threshold %.2f)\n",
 		payloadDet.ModelName(), codeDet.ModelName(), *threshold)
 
-	sinks := []ph.AlertSink{ph.NewLogSink(nil)}
-	if *alertsPath != "" {
-		jsonl, err := ph.OpenJSONLSink(*alertsPath)
-		if err != nil {
-			return err
-		}
-		defer jsonl.Close()
-		sinks = append(sinks, jsonl)
+	sinks, closeSinks, err := openAlertSinks(*alertsPath)
+	if err != nil {
+		return err
 	}
+	defer closeSinks()
 	cfg.Sinks = sinks
 
 	w, err := ph.NewTxWatcher(fused, cfg)
@@ -1068,15 +1079,11 @@ func cmdBackfill(args []string) error {
 		modelName = det.ModelName()
 	}
 
-	sinks := []ph.AlertSink{ph.NewLogSink(nil)}
-	if *alertsPath != "" {
-		jsonl, err := ph.OpenJSONLSink(*alertsPath)
-		if err != nil {
-			return err
-		}
-		defer jsonl.Close()
-		sinks = append(sinks, jsonl)
+	sinks, closeSinks, err := openAlertSinks(*alertsPath)
+	if err != nil {
+		return err
 	}
+	defer closeSinks()
 
 	b, err := ph.NewBackfill(scorer, ph.BackfillConfig{
 		RPCURLs:        urls,
@@ -1235,15 +1242,11 @@ func cmdWatch(args []string) error {
 	}
 	fmt.Printf("watching with %s (threshold %.2f)\n", modelName, *threshold)
 
-	sinks := []ph.AlertSink{ph.NewLogSink(nil)}
-	if *alertsPath != "" {
-		jsonl, err := ph.OpenJSONLSink(*alertsPath)
-		if err != nil {
-			return err
-		}
-		defer jsonl.Close()
-		sinks = append(sinks, jsonl)
+	sinks, closeSinks, err := openAlertSinks(*alertsPath)
+	if err != nil {
+		return err
 	}
+	defer closeSinks()
 	cfg.Sinks = sinks
 
 	w, err := ph.NewWatcher(scorer, cfg)

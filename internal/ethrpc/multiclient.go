@@ -38,7 +38,6 @@ type multiConfig struct {
 	maxLimit        int
 	breakerStreak   int
 	breakerCooldown time.Duration
-	breakerSet      bool
 }
 
 // WithMultiRetries sets plane-level attempts per call (default 4) and the
@@ -82,7 +81,6 @@ func WithMultiBreaker(streak int, cooldown time.Duration) MultiOption {
 	return func(c *multiConfig) {
 		c.breakerStreak = streak
 		c.breakerCooldown = cooldown
-		c.breakerSet = true
 	}
 }
 
@@ -105,16 +103,13 @@ func NewMultiClient(endpoints []string, opts ...MultiOption) (*MultiClient, erro
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	planeOpts := []PlaneOption{WithPlaneRetries(cfg.attempts, cfg.backoff), WithPlaneHedge(cfg.hedge)}
+	planeOpts := []PlaneOption{
+		WithPlaneRetries(cfg.attempts, cfg.backoff),
+		WithPlaneHedge(cfg.hedge),
+		WithPlaneBreaker(cfg.breakerStreak, cfg.breakerCooldown),
+	}
 	if cfg.maxLimit > 0 {
 		planeOpts = append(planeOpts, WithPlaneMaxConcurrency(cfg.maxLimit))
-	}
-	if cfg.breakerSet {
-		streak := cfg.breakerStreak
-		if streak == 0 {
-			streak = 8
-		}
-		planeOpts = append(planeOpts, WithPlaneBreaker(streak, cfg.breakerCooldown))
 	}
 	plane, err := NewPlane(endpoints, planeOpts...)
 	if err != nil {

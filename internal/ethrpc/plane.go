@@ -161,11 +161,14 @@ func WithPlaneRetryAfter() PlaneOption {
 // WithPlaneBreaker tunes the per-node circuit breaker: streak consecutive
 // hard failures (malformed responses, refused connections — the faults AIMD
 // never halves on) trip the node out of scheduling for cooldown, after which
-// one half-open probe decides whether it rejoins. streak <= 0 disables the
-// breaker. The default is 8 failures / 2s.
+// one half-open probe decides whether it rejoins. The default is 8
+// failures / 2s: streak 0 and cooldown 0 keep it, a negative streak
+// disables the breaker.
 func WithPlaneBreaker(streak int, cooldown time.Duration) PlaneOption {
 	return func(p *Plane) {
-		p.breakerStreak = streak
+		if streak != 0 {
+			p.breakerStreak = streak
+		}
 		if cooldown > 0 {
 			p.breakerCooldown = cooldown
 		}

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -84,17 +83,7 @@ func (c *BackfillConfig) fillDefaults() error {
 	if c.WindowBlocks == 0 {
 		c.WindowBlocks = 100_000
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = time.Second
-	}
 	return nil
-}
-
-// shard is one range-worker's contiguous sub-range; cursor is the last
-// fully scored block ((cursor, To] remains).
-type shard struct {
-	from, to uint64
-	cursor   uint64
 }
 
 // ShardStats is one shard's progress snapshot.
@@ -128,9 +117,8 @@ type Backfill struct {
 	rpc  *ethrpc.MultiClient
 	reg  *explorer.Crawler
 
-	mu       sync.Mutex
-	shards   []shard
-	lastCkpt time.Time
+	mu     sync.Mutex
+	shards []shardMark // one per range-worker, in block order
 }
 
 // NewBackfill builds a backfill over the given scorer, resuming shard
@@ -143,18 +131,15 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	mopts := []ethrpc.MultiOption{ethrpc.WithHedge(cfg.Hedge)}
-	if cfg.BreakerStreak != 0 || cfg.BreakerCooldown > 0 {
-		mopts = append(mopts, ethrpc.WithMultiBreaker(cfg.BreakerStreak, cfg.BreakerCooldown))
-	}
-	if cfg.RetryBackoff > 0 {
-		mopts = append(mopts, ethrpc.WithMultiRetries(0, cfg.RetryBackoff))
-	}
-	rpc, err := ethrpc.NewMultiClient(cfg.RPCURLs, mopts...)
+	rpc, err := NewFetchPlane("", cfg.RPCURLs, cfg.Hedge, cfg.BreakerStreak, cfg.BreakerCooldown, cfg.RetryBackoff)
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := NewPipeline(scorer, rpc, PipelineConfig{
+	ledger, cp, ok, err := openLedger(cfg.CheckpointPath, "", cfg.CheckpointEvery)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := newPipeline(scorer, rpc, PipelineConfig{
 		QueueSize:    cfg.QueueSize,
 		ScoreWorkers: cfg.ScoreWorkers,
 		Fetchers:     cfg.Fetchers,
@@ -162,7 +147,7 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 		Threshold:    cfg.Threshold,
 		DropWhenFull: cfg.DropWhenFull,
 		Sinks:        cfg.Sinks,
-	})
+	}, ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -173,18 +158,9 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 		reg:    explorer.NewCrawler(cfg.ExplorerURL),
 		shards: partitionRange(cfg.From, cfg.To, cfg.Shards),
 	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := loadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
+	if ok {
+		if err := b.resumeFrom(cp); err != nil {
 			return nil, err
-		}
-		if ok {
-			if cp.Modality != "" {
-				return nil, fmt.Errorf("monitor: checkpoint %s has modality %q; the backfill cannot resume it", cfg.CheckpointPath, cp.Modality)
-			}
-			if err := b.resumeFrom(cp); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return b, nil
@@ -192,33 +168,28 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 
 // partitionRange splits [from, to] into n contiguous shards of near-equal
 // size, each starting with cursor = from-1 (nothing scored yet).
-func partitionRange(from, to uint64, n int) []shard {
+func partitionRange(from, to uint64, n int) []shardMark {
 	span := to - from + 1
-	out := make([]shard, n)
+	out := make([]shardMark, n)
 	var start uint64 = from
 	for i := 0; i < n; i++ {
 		size := span / uint64(n)
 		if uint64(i) < span%uint64(n) {
 			size++
 		}
-		out[i] = shard{from: start, to: start + size - 1, cursor: start - 1}
+		out[i] = shardMark{From: start, To: start + size - 1, Cursor: start - 1}
 		start += size
 	}
 	return out
 }
 
-// resumeFrom installs a checkpoint. A checkpoint carrying shard marks must
-// describe the same overall range; its shard layout then wins over the
-// configured Shards count (cursors are only meaningful against the layout
-// that produced them). A plain watcher checkpoint (no shards) contributes
-// just its dedup set — scans restart from scratch but already-judged
-// bytecodes still collapse into dedup hits.
+// resumeFrom installs a loaded checkpoint's shard marks (its dedup set is
+// already in the ledger). The marks must describe the same overall range;
+// their shard layout then wins over the configured Shards count (cursors are
+// only meaningful against the layout that produced them). A plain watcher
+// checkpoint (no shards) contributes just its dedup set — scans restart from
+// scratch but already-judged bytecodes still collapse into dedup hits.
 func (b *Backfill) resumeFrom(cp checkpoint) error {
-	hashes, err := cp.decodeSeen()
-	if err != nil {
-		return fmt.Errorf("monitor: checkpoint %s: %w", b.cfg.CheckpointPath, err)
-	}
-	b.pipe.restoreSeen(hashes, cp.ModelVersion)
 	if len(cp.Shards) == 0 {
 		return nil
 	}
@@ -228,15 +199,13 @@ func (b *Backfill) resumeFrom(cp checkpoint) error {
 		return fmt.Errorf("monitor: checkpoint %s covers blocks [%d, %d], not the requested [%d, %d] — pick a fresh checkpoint path for a new range",
 			b.cfg.CheckpointPath, first, last, b.cfg.From, b.cfg.To)
 	}
-	shards := make([]shard, len(cp.Shards))
 	for i, m := range cp.Shards {
 		if m.From > m.To || m.Cursor < m.From-1 || m.Cursor > m.To {
 			return fmt.Errorf("monitor: checkpoint %s shard %d has inconsistent marks [%d, %d] cursor %d",
 				b.cfg.CheckpointPath, i, m.From, m.To, m.Cursor)
 		}
-		shards[i] = shard{from: m.From, to: m.To, cursor: m.Cursor}
 	}
-	b.shards = shards
+	b.shards = cp.Shards
 	return nil
 }
 
@@ -252,17 +221,17 @@ func (b *Backfill) cursorLocked() uint64 {
 	// Shards are ordered by block range: the fully scored prefix extends
 	// through every completed shard and ends at the first unfinished
 	// shard's cursor.
-	cur := b.shards[0].cursor
+	cur := b.shards[0].Cursor
 	for _, s := range b.shards {
-		if s.cursor < s.to {
-			return s.cursor
+		if s.Cursor < s.To {
+			return s.Cursor
 		}
-		cur = s.cursor
+		cur = s.Cursor
 	}
 	return cur
 }
 
-// SeenUnique returns the size of the bytecode dedup set.
+// SeenUnique returns the number of judged bytecode hashes.
 func (b *Backfill) SeenUnique() int { return b.pipe.SeenUnique() }
 
 // ModelVersion returns the lifecycle version of the most recent score.
@@ -278,7 +247,7 @@ func (b *Backfill) Stats() BackfillStats {
 	s.Cursor = b.cursorLocked()
 	shards := make([]ShardStats, len(b.shards))
 	for i, sh := range b.shards {
-		shards[i] = ShardStats{From: sh.from, To: sh.to, Cursor: sh.cursor, Done: sh.cursor >= sh.to}
+		shards[i] = ShardStats{From: sh.From, To: sh.To, Cursor: sh.Cursor, Done: sh.Cursor >= sh.To}
 	}
 	b.mu.Unlock()
 	return BackfillStats{Stats: s, Shards: shards, Endpoints: b.rpc.Stats()}
@@ -292,11 +261,9 @@ func (b *Backfill) Run(ctx context.Context) error {
 	defer func() {
 		b.pipe.Stop()
 		// Final checkpoint after the score pool drains: jobs that were still
-		// in flight at cancellation failed (and were un-remembered), so the
+		// in flight at cancellation failed (and were unclaimed), so the
 		// snapshot only ever claims completed work.
-		if b.cfg.CheckpointPath != "" {
-			b.saveCheckpointNow()
-		}
+		b.saveCheckpoint()
 	}()
 
 	var wg sync.WaitGroup
@@ -328,7 +295,7 @@ const maxWindowRetries = 10
 // runShard walks one shard window by window: list the window's deployments,
 // run them through the shared pipeline, commit the shard cursor. A window
 // that fails (registry fault, fetch fault, score fault) is retried with
-// growing backoff — failed scores were un-remembered, so the retry
+// growing backoff — failed scores were unclaimed, so the retry
 // re-judges exactly the lost deployments — and after maxWindowRetries
 // consecutive failures the shard gives up and surfaces the error.
 func (b *Backfill) runShard(ctx context.Context, i int) error {
@@ -336,7 +303,7 @@ func (b *Backfill) runShard(ctx context.Context, i int) error {
 	backoff := 50 * time.Millisecond
 	for {
 		b.mu.Lock()
-		cur, end := b.shards[i].cursor, b.shards[i].to
+		cur, end := b.shards[i].Cursor, b.shards[i].To
 		b.mu.Unlock()
 		if cur >= end {
 			return nil
@@ -383,42 +350,24 @@ func (b *Backfill) scanWindow(ctx context.Context, from, to uint64) error {
 // CheckpointEvery (shared across shards).
 func (b *Backfill) advanceShard(i int, cursor uint64) {
 	b.mu.Lock()
-	b.shards[i].cursor = cursor
-	persist := b.cfg.CheckpointPath != "" && time.Since(b.lastCkpt) >= b.cfg.CheckpointEvery
-	if persist {
-		b.lastCkpt = time.Now()
-	}
+	b.shards[i].Cursor = cursor
 	b.mu.Unlock()
-	if persist {
-		b.saveCheckpointNow()
+	if b.pipe.ledger.Due() {
+		b.saveCheckpoint()
 	}
 }
 
-// saveCheckpointNow snapshots shard cursors + dedup set and writes the
-// checkpoint. Cursors are snapshotted BEFORE the dedup set: a shard
-// committing a window between the two snapshots then contributes extra
-// scored hashes (harmless — the uncommitted window rescans into dedup hits
-// after a restart), whereas the reverse order could record a cursor whose
-// window's hashes are missing from the snapshot and re-score them. Hash
-// copying happens under locks; hex encoding, JSON marshalling and the file
-// write run outside them.
-func (b *Backfill) saveCheckpointNow() {
+// saveCheckpoint snapshots the shard cursors and writes them with the dedup
+// ledger. Cursors are snapshotted BEFORE the ledger: a shard committing a
+// window between the two snapshots then contributes extra scored hashes
+// (harmless — the uncommitted window rescans into dedup hits after a
+// restart), whereas the reverse order could record a cursor whose window's
+// hashes are missing from the snapshot and re-score them.
+func (b *Backfill) saveCheckpoint() {
 	b.mu.Lock()
-	cp := checkpoint{
-		Cursor: b.cursorLocked(),
-		Shards: make([]shardMark, len(b.shards)),
-	}
-	for i, sh := range b.shards {
-		cp.Shards[i] = shardMark{From: sh.from, To: sh.to, Cursor: sh.cursor}
-	}
+	cp := checkpoint{Cursor: b.cursorLocked(), Shards: append([]shardMark(nil), b.shards...)}
 	b.mu.Unlock()
-	hashes, version := b.pipe.snapshotSeen()
-	cp.ModelVersion = version
-	cp.Seen = make([]string, len(hashes))
-	for i, h := range hashes {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	if err := saveCheckpoint(b.cfg.CheckpointPath, cp); err != nil {
+	if err := b.pipe.ledger.save(cp); err != nil {
 		b.pipe.ctr.errors.Add(1)
 	}
 }

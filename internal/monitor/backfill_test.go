@@ -70,16 +70,16 @@ func TestPartitionRangeCoversExactly(t *testing.T) {
 		}
 		next := tc.from
 		for i, s := range shards {
-			if s.from != next {
-				t.Fatalf("shard %d starts at %d, want %d (gap or overlap)", i, s.from, next)
+			if s.From != next {
+				t.Fatalf("shard %d starts at %d, want %d (gap or overlap)", i, s.From, next)
 			}
-			if s.cursor != s.from-1 {
-				t.Fatalf("shard %d cursor %d, want %d", i, s.cursor, s.from-1)
+			if s.Cursor != s.From-1 {
+				t.Fatalf("shard %d cursor %d, want %d", i, s.Cursor, s.From-1)
 			}
-			if s.to < s.from {
-				t.Fatalf("shard %d inverted [%d, %d]", i, s.from, s.to)
+			if s.To < s.From {
+				t.Fatalf("shard %d inverted [%d, %d]", i, s.From, s.To)
 			}
-			next = s.to + 1
+			next = s.To + 1
 		}
 		if next != tc.to+1 {
 			t.Fatalf("partition ends at %d, want %d", next-1, tc.to)

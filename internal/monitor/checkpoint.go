@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -44,19 +43,6 @@ type shardMark struct {
 	From   uint64 `json:"from"`
 	To     uint64 `json:"to"`
 	Cursor uint64 `json:"cursor"`
-}
-
-// decodeSeen parses the hex dedup hashes back into keys.
-func (cp *checkpoint) decodeSeen() ([][32]byte, error) {
-	out := make([][32]byte, len(cp.Seen))
-	for i, h := range cp.Seen {
-		b, err := hex.DecodeString(h)
-		if err != nil || len(b) != 32 {
-			return nil, fmt.Errorf("bad dedup hash %q", h)
-		}
-		copy(out[i][:], b)
-	}
-	return out, nil
 }
 
 const checkpointVersion = 1
@@ -138,24 +124,20 @@ func saveCheckpoint(path string, cp checkpoint) error {
 // cursor (a bounded rescan — dedup keeps alerting exactly-once) instead of
 // refusing to start.
 func loadCheckpoint(path string) (checkpoint, bool, error) {
+	// A missing primary (a fresh watcher, or a crash between rotation and
+	// publish) and a damaged one both fall back to the last-good copy; only
+	// the damage is an error when that copy is unusable too.
+	var derr error
 	blob, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		// The primary may be missing mid-rotation (crash between rename and
-		// publish); the last-good copy still resumes us.
-		if prev, gerr := os.ReadFile(path + lastGoodSuffix); gerr == nil {
-			cp, derr := decodeCheckpoint(path+lastGoodSuffix, prev)
-			if derr == nil {
-				return cp, true, nil
-			}
+	switch {
+	case err == nil:
+		cp, err := decodeCheckpoint(path, blob)
+		if err == nil {
+			return cp, true, nil
 		}
-		return checkpoint{}, false, nil
-	}
-	if err != nil {
+		derr = err
+	case !os.IsNotExist(err):
 		return checkpoint{}, false, fmt.Errorf("monitor: read checkpoint: %w", err)
-	}
-	cp, derr := decodeCheckpoint(path, blob)
-	if derr == nil {
-		return cp, true, nil
 	}
 	if prev, gerr := os.ReadFile(path + lastGoodSuffix); gerr == nil {
 		if good, gderr := decodeCheckpoint(path+lastGoodSuffix, prev); gderr == nil {
@@ -163,54 +145,4 @@ func loadCheckpoint(path string) (checkpoint, bool, error) {
 		}
 	}
 	return checkpoint{}, false, derr
-}
-
-// txModality is the tx watcher's checkpoint marker.
-const txModality = "tx"
-
-// TxCheckpoint is the transaction watcher's persisted state: the last block
-// whose visible txs have all been durably judged, plus the tx-hash dedup set
-// that makes alerting exactly-once across restarts. It shares the contract
-// checkpoint's file format (same version, Modality = "tx"), so the atomic
-// temp+fsync+rename write path and the backward-compatibility story are one
-// implementation.
-type TxCheckpoint struct {
-	// Cursor is the last fully judged block.
-	Cursor uint64
-	// ModelVersion attributes the judged prefix to a lifecycle version.
-	ModelVersion string
-	// Seen are the durably judged tx hashes.
-	Seen [][32]byte
-}
-
-// SaveTxCheckpoint atomically persists a tx watcher checkpoint.
-func SaveTxCheckpoint(path string, tc TxCheckpoint) error {
-	cp := checkpoint{
-		Cursor:       tc.Cursor,
-		ModelVersion: tc.ModelVersion,
-		Modality:     txModality,
-		Seen:         make([]string, len(tc.Seen)),
-	}
-	for i, h := range tc.Seen {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	return saveCheckpoint(path, cp)
-}
-
-// LoadTxCheckpoint reads a tx watcher checkpoint; a missing file returns
-// ok=false with no error. A contract-modality checkpoint at the same path is
-// refused — the cursors index different logs.
-func LoadTxCheckpoint(path string) (TxCheckpoint, bool, error) {
-	cp, ok, err := loadCheckpoint(path)
-	if err != nil || !ok {
-		return TxCheckpoint{}, false, err
-	}
-	if cp.Modality != txModality {
-		return TxCheckpoint{}, false, fmt.Errorf("monitor: checkpoint %s has modality %q, want %q", path, cp.Modality, txModality)
-	}
-	seen, err := cp.decodeSeen()
-	if err != nil {
-		return TxCheckpoint{}, false, fmt.Errorf("monitor: checkpoint %s: %w", path, err)
-	}
-	return TxCheckpoint{Cursor: cp.Cursor, ModelVersion: cp.ModelVersion, Seen: seen}, true, nil
 }

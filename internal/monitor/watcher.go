@@ -32,7 +32,6 @@ package monitor
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -147,21 +146,23 @@ func (c *Config) fillDefaults() error {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 100 * time.Millisecond
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = time.Second
-	}
 	if c.WindowBlocks == 0 {
 		c.WindowBlocks = 100_000
 	}
 	return nil
 }
 
-// endpoints resolves the configured fetch plane.
-func (c *Config) endpoints() []string {
-	if len(c.RPCURLs) > 0 {
-		return c.RPCURLs
+// NewFetchPlane builds the adaptive RPC plane a workload fetches through
+// from the plane settings every workload config carries: rpcURLs when set,
+// else rpcURL alone. Zero values keep the plane's defaults.
+func NewFetchPlane(rpcURL string, rpcURLs []string, hedge time.Duration, breakerStreak int, breakerCooldown, retryBackoff time.Duration) (*ethrpc.MultiClient, error) {
+	if len(rpcURLs) == 0 {
+		rpcURLs = []string{rpcURL}
 	}
-	return []string{c.RPCURL}
+	return ethrpc.NewMultiClient(rpcURLs,
+		ethrpc.WithHedge(hedge),
+		ethrpc.WithMultiBreaker(breakerStreak, breakerCooldown),
+		ethrpc.WithMultiRetries(0, retryBackoff))
 }
 
 // pipelineConfig carves the pipeline's slice out of the watcher config.
@@ -186,9 +187,6 @@ type Watcher struct {
 	rpc  *ethrpc.MultiClient
 	reg  *explorer.Crawler
 
-	// lastCkpt is touched only by the Run goroutine.
-	lastCkpt time.Time
-
 	mu     sync.Mutex
 	cursor uint64
 }
@@ -203,46 +201,25 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	mopts := []ethrpc.MultiOption{ethrpc.WithHedge(cfg.Hedge)}
-	if cfg.BreakerStreak != 0 || cfg.BreakerCooldown > 0 {
-		mopts = append(mopts, ethrpc.WithMultiBreaker(cfg.BreakerStreak, cfg.BreakerCooldown))
-	}
-	if cfg.RetryBackoff > 0 {
-		mopts = append(mopts, ethrpc.WithMultiRetries(0, cfg.RetryBackoff))
-	}
-	rpc, err := ethrpc.NewMultiClient(cfg.endpoints(), mopts...)
+	rpc, err := NewFetchPlane(cfg.RPCURL, cfg.RPCURLs, cfg.Hedge, cfg.BreakerStreak, cfg.BreakerCooldown, cfg.RetryBackoff)
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := NewPipeline(scorer, rpc, cfg.pipelineConfig())
+	ledger, cursor, err := OpenLedger(cfg.CheckpointPath, "", cfg.CheckpointEvery, cfg.StartBlock)
 	if err != nil {
 		return nil, err
 	}
-	w := &Watcher{
+	pipe, err := newPipeline(scorer, rpc, cfg.pipelineConfig(), ledger)
+	if err != nil {
+		return nil, err
+	}
+	return &Watcher{
 		cfg:    cfg,
 		pipe:   pipe,
 		rpc:    rpc,
 		reg:    explorer.NewCrawler(cfg.ExplorerURL),
-		cursor: cfg.StartBlock,
-	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := loadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if cp.Modality != "" {
-				return nil, fmt.Errorf("monitor: checkpoint %s has modality %q; the contract watcher cannot resume it", cfg.CheckpointPath, cp.Modality)
-			}
-			w.cursor = cp.Cursor
-			hashes, err := cp.decodeSeen()
-			if err != nil {
-				return nil, fmt.Errorf("monitor: checkpoint %s: %w", cfg.CheckpointPath, err)
-			}
-			pipe.restoreSeen(hashes, cp.ModelVersion)
-		}
-	}
-	return w, nil
+		cursor: cursor,
+	}, nil
 }
 
 // Cursor returns the last fully scored block.
@@ -252,7 +229,7 @@ func (w *Watcher) Cursor() uint64 {
 	return w.cursor
 }
 
-// SeenUnique returns the size of the bytecode dedup set.
+// SeenUnique returns the number of judged bytecode hashes.
 func (w *Watcher) SeenUnique() int { return w.pipe.SeenUnique() }
 
 // ModelVersion returns the lifecycle version of the most recent successful
@@ -281,9 +258,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 		w.pipe.Stop()
 		// Final checkpoint after the score pool drains, so a clean stop
 		// (StopAtBlock or cancellation) never loses committed progress.
-		if w.cfg.CheckpointPath != "" {
-			w.saveCheckpointNow()
-		}
+		w.saveCheckpoint()
 	}()
 
 	for {
@@ -351,21 +326,14 @@ func (w *Watcher) advanceCursor(head uint64) {
 	w.mu.Lock()
 	w.cursor = head
 	w.mu.Unlock()
-	if w.cfg.CheckpointPath == "" || time.Since(w.lastCkpt) < w.cfg.CheckpointEvery {
-		return
+	if w.pipe.ledger.Due() {
+		w.saveCheckpoint()
 	}
-	w.saveCheckpointNow()
 }
 
-// saveCheckpointNow snapshots cursor + dedup set and writes the checkpoint.
-func (w *Watcher) saveCheckpointNow() {
-	hashes, version := w.pipe.snapshotSeen()
-	cp := checkpoint{Cursor: w.Cursor(), ModelVersion: version, Seen: make([]string, len(hashes))}
-	for i, h := range hashes {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	if err := saveCheckpoint(w.cfg.CheckpointPath, cp); err != nil {
+// saveCheckpoint writes the cursor and the dedup ledger.
+func (w *Watcher) saveCheckpoint() {
+	if err := w.pipe.ledger.Save(w.Cursor()); err != nil {
 		w.pipe.ctr.errors.Add(1)
 	}
-	w.lastCkpt = time.Now()
 }

@@ -110,3 +110,41 @@ func TestPoisonDrainAlertsFirstAndOnly(t *testing.T) {
 		t.Fatalf("drain of an empty set retried %d", res.Retried)
 	}
 }
+
+// TestPoisonDrainKeepsEvasionFlag drains quarantined txs through a healed
+// scorer that flags every phishing verdict as an evasion suspect: drained
+// alerts are built by the same code as live ones, so each carries the flag.
+func TestPoisonDrainKeepsEvasionFlag(t *testing.T) {
+	c := testTxChain(t, 200)
+	srv := httptest.NewServer(ethrpc.NewServer(c, 1))
+	defer srv.Close()
+
+	var healed atomic.Bool
+	scorer := txScorer(func(_ context.Context, calldata, _ []byte) (TxVerdict, error) {
+		if !parityPhish(calldata) {
+			return TxVerdict{Phishing: false, Confidence: 0.9, Model: "parity", Version: "v1"}, nil
+		}
+		if !healed.Load() {
+			return TxVerdict{}, errors.New("calldata model faulted")
+		}
+		return TxVerdict{Phishing: true, Confidence: 0.9, Model: "parity", Version: "v1", EvasionSuspect: true}, nil
+	})
+	sink := &collectSink{}
+	w, err := New(scorer, Config{RPCURL: srv.URL, StopAtBlock: c.HeadBlock(), PollInterval: 1, Sinks: []monitor.Sink{sink}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	healed.Store(true)
+	res := w.DrainPoison(context.Background())
+	if res.Alerted == 0 || res.Alerted != res.Retried {
+		t.Fatalf("drain after heal: %+v, want every quarantined tx alerted", res)
+	}
+	for _, a := range sink.snapshot() {
+		if !a.EvasionSuspect {
+			t.Fatalf("drained alert lost the evasion flag: %+v", a)
+		}
+	}
+}

@@ -348,8 +348,12 @@ func TestWatcherRefusesContractCheckpoint(t *testing.T) {
 
 func TestContractWatcherRefusesTxCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.cursor")
-	err := monitor.SaveTxCheckpoint(path, monitor.TxCheckpoint{Cursor: 9, Seen: [][32]byte{{1}}})
+	ledger, _, err := monitor.OpenLedger(path, monitor.TxModality, 0, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	ledger.Judge([32]byte{1}, "")
+	if err := ledger.Save(9); err != nil {
 		t.Fatal(err)
 	}
 	stub := &stubCodeScorer{v: monitor.Verdict{}}

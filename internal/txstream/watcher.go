@@ -86,20 +86,10 @@ func (c *Config) fillDefaults() error {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.5
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = time.Second
-	}
 	if c.CodeCacheSize <= 0 {
 		c.CodeCacheSize = 4096
 	}
 	return nil
-}
-
-func (c *Config) endpoints() []string {
-	if len(c.RPCURLs) > 0 {
-		return c.RPCURLs
-	}
-	return []string{c.RPCURL}
 }
 
 // Watcher drains the pending-transaction feed and judges every tx exactly
@@ -108,10 +98,10 @@ func (c *Config) endpoints() []string {
 // dedup set collapses the replays so each hash is scored and alerted at most
 // once across process lifetimes.
 //
-// The in-memory dedup set holds two states per hash: claimed (a score is in
-// flight this batch) and judged (durably decided). Only judged hashes are
-// checkpointed — a kill mid-score leaves the hash out of the snapshot, so
-// the resume replays and judges it exactly once.
+// The dedup set is a monitor.Ledger, the same exactly-once state the
+// contract pipeline keeps: only judged hashes are checkpointed, so a kill
+// mid-score leaves the hash out of the snapshot and the resume replays and
+// judges it exactly once.
 type Watcher struct {
 	cfg    Config
 	scorer Scorer
@@ -119,15 +109,10 @@ type Watcher struct {
 	codes  *lru.Cache[chain.Address, []byte]
 	ctr    counters
 	poison *poisonSet
+	ledger *monitor.Ledger
 
-	mu      sync.Mutex
-	cursor  uint64
-	seen    map[[32]byte]bool // false = claimed (in flight), true = judged
-	judged  int               // count of true entries, for O(1) snapshot sizing
-	version string            // lifecycle version of the latest fused score
-
-	// lastCkpt is touched only by the Run goroutine.
-	lastCkpt time.Time
+	mu     sync.Mutex
+	cursor uint64
 }
 
 // New builds a tx watcher over the given fused scorer, resuming from
@@ -140,41 +125,23 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	mopts := []ethrpc.MultiOption{ethrpc.WithHedge(cfg.Hedge)}
-	if cfg.BreakerStreak != 0 || cfg.BreakerCooldown > 0 {
-		mopts = append(mopts, ethrpc.WithMultiBreaker(cfg.BreakerStreak, cfg.BreakerCooldown))
-	}
-	if cfg.RetryBackoff > 0 {
-		mopts = append(mopts, ethrpc.WithMultiRetries(0, cfg.RetryBackoff))
-	}
-	rpc, err := ethrpc.NewMultiClient(cfg.endpoints(), mopts...)
+	rpc, err := monitor.NewFetchPlane(cfg.RPCURL, cfg.RPCURLs, cfg.Hedge, cfg.BreakerStreak, cfg.BreakerCooldown, cfg.RetryBackoff)
 	if err != nil {
 		return nil, err
 	}
-	w := &Watcher{
+	ledger, cursor, err := monitor.OpenLedger(cfg.CheckpointPath, monitor.TxModality, cfg.CheckpointEvery, cfg.StartBlock)
+	if err != nil {
+		return nil, err
+	}
+	return &Watcher{
 		cfg:    cfg,
 		scorer: scorer,
 		rpc:    rpc,
 		codes:  lru.New[chain.Address, []byte](cfg.CodeCacheSize),
 		poison: newPoisonSet(),
-		cursor: cfg.StartBlock,
-		seen:   make(map[[32]byte]bool),
-	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := monitor.LoadTxCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			w.cursor = cp.Cursor
-			w.version = cp.ModelVersion
-			for _, h := range cp.Seen {
-				w.seen[h] = true
-			}
-			w.judged = len(cp.Seen)
-		}
-	}
-	return w, nil
+		ledger: ledger,
+		cursor: cursor,
+	}, nil
 }
 
 // Cursor returns the last block whose visible txs have all been judged.
@@ -185,19 +152,11 @@ func (w *Watcher) Cursor() uint64 {
 }
 
 // SeenUnique returns the size of the judged tx-hash dedup set.
-func (w *Watcher) SeenUnique() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.judged
-}
+func (w *Watcher) SeenUnique() int { return w.ledger.SeenUnique() }
 
 // ModelVersion returns the lifecycle version behind the most recent fused
 // score (restored from the checkpoint on resume).
-func (w *Watcher) ModelVersion() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.version
-}
+func (w *Watcher) ModelVersion() string { return w.ledger.ModelVersion() }
 
 // Endpoints snapshots the RPC plane's per-endpoint scheduler state.
 func (w *Watcher) Endpoints() []ethrpc.EndpointStats { return w.rpc.Stats() }
@@ -205,13 +164,10 @@ func (w *Watcher) Endpoints() []ethrpc.EndpointStats { return w.rpc.Stats() }
 // Stats snapshots the watcher's counters.
 func (w *Watcher) Stats() Stats {
 	hits, misses := w.codes.Stats()
-	w.mu.Lock()
-	cursor, judged, version := w.cursor, w.judged, w.version
-	w.mu.Unlock()
 	return Stats{
-		Modality:        "tx",
-		ModelVersion:    version,
-		Cursor:          cursor,
+		Modality:        monitor.TxModality,
+		ModelVersion:    w.ModelVersion(),
+		Cursor:          w.Cursor(),
 		Polls:           w.ctr.polls.Load(),
 		TxsSeen:         w.ctr.txsSeen.Load(),
 		TxsScored:       w.ctr.txsScored.Load(),
@@ -221,7 +177,7 @@ func (w *Watcher) Stats() Stats {
 		PoisonPending:   w.poison.len(),
 		Errors:          w.ctr.errors.Load(),
 		FeedReopens:     w.ctr.feedReopens.Load(),
-		SeenUnique:      judged,
+		SeenUnique:      w.SeenUnique(),
 		CodeCacheHits:   hits,
 		CodeCacheMisses: misses,
 		ScoreP50MS:      float64(w.ctr.latency.Quantile(0.50)) / float64(time.Millisecond),
@@ -242,9 +198,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 		closeCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 		feed.Close(closeCtx)
 		cancel()
-		if w.cfg.CheckpointPath != "" {
-			w.saveCheckpointNow()
-		}
+		w.saveCheckpoint()
 	}()
 
 	// pendingMax is the highest block observed in delivered batches that the
@@ -344,16 +298,13 @@ func (w *Watcher) judgeBatch(ctx context.Context, feed *ethrpc.TxFeed, batch []e
 	// Claim phase: skip hashes already judged or in flight; mark the rest
 	// claimed so a concurrent replay in the same batch cannot double-score.
 	claimed := batch[:0]
-	w.mu.Lock()
 	for i := range batch {
-		if _, ok := w.seen[batch[i].Hash]; ok {
+		if _, dup := w.ledger.Claim(batch[i].Hash, nil); dup {
 			w.ctr.dedupHits.Add(1)
 			continue
 		}
-		w.seen[batch[i].Hash] = false
 		claimed = append(claimed, batch[i])
 	}
-	w.mu.Unlock()
 	if len(claimed) == 0 {
 		return ctx.Err()
 	}
@@ -382,8 +333,8 @@ func (w *Watcher) judgeBatch(ctx context.Context, feed *ethrpc.TxFeed, batch []e
 }
 
 // judgeTx fetches the callee's code (through the LRU), runs the fused
-// scorer with a bounded retry, and either alerts + marks the hash judged or
-// poisons it. A context death instead unclaims the hash so the judged set —
+// scorer with a bounded retry, and either settles the verdict or poisons
+// the tx. A context death instead unclaims the hash so the judged set —
 // and therefore the checkpoint — never contains an unscored tx; the cursor
 // cannot advance after a cancellation, so the restart replays the hash.
 //
@@ -398,12 +349,12 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 	var err error
 	for attempt := 0; attempt < scoreAttempts; attempt++ {
 		if ctx.Err() != nil {
-			w.unclaim(tx.Hash)
+			w.ledger.Unclaim(tx.Hash)
 			return
 		}
 		if code, err = w.calleeCode(ctx, feed, tx.To); err != nil {
 			if ctx.Err() != nil {
-				w.unclaim(tx.Hash)
+				w.ledger.Unclaim(tx.Hash)
 				return
 			}
 			w.ctr.errors.Add(1)
@@ -415,7 +366,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			break
 		}
 		if ctx.Err() != nil {
-			w.unclaim(tx.Hash)
+			w.ledger.Unclaim(tx.Hash)
 			return
 		}
 		w.ctr.errors.Add(1)
@@ -426,10 +377,16 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		// quarantine after fixing the underlying fault.
 		w.ctr.poisoned.Add(1)
 		w.poison.add(*tx, err)
-		w.markJudged(tx.Hash, "")
+		w.ledger.Judge(tx.Hash, "")
 		return
 	}
+	w.settle(tx, code, v)
+}
 
+// settle records one scored tx: count it, alert through every sink when the
+// fused verdict clears the threshold, and judge its hash. The live path and
+// the poison drain both end here, so a tx alert is built in one place.
+func (w *Watcher) settle(tx *ethrpc.PendingTx, code []byte, v TxVerdict) (alerted bool) {
 	w.ctr.txsScored.Add(1)
 	if p := v.PhishProb(); p >= w.cfg.Threshold {
 		alert := monitor.Alert{
@@ -439,7 +396,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			Confidence:     p,
 			Model:          v.Model,
 			ModelVersion:   v.Version,
-			Modality:       "tx",
+			Modality:       monitor.TxModality,
 			TxHash:         tx.HashHex(),
 			EvasionSuspect: v.EvasionSuspect,
 			Time:           time.Now().UTC(),
@@ -450,8 +407,10 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			}
 		}
 		w.ctr.alerts.Add(1)
+		alerted = true
 	}
-	w.markJudged(tx.Hash, v.Version)
+	w.ledger.Judge(tx.Hash, v.Version)
+	return alerted
 }
 
 // calleeCode resolves the callee's deployed bytecode through the LRU; nil
@@ -469,26 +428,6 @@ func (w *Watcher) calleeCode(ctx context.Context, feed *ethrpc.TxFeed, addr chai
 	return code, nil
 }
 
-func (w *Watcher) unclaim(h [32]byte) {
-	w.mu.Lock()
-	if judged, ok := w.seen[h]; ok && !judged {
-		delete(w.seen, h)
-	}
-	w.mu.Unlock()
-}
-
-func (w *Watcher) markJudged(h [32]byte, version string) {
-	w.mu.Lock()
-	if judged, ok := w.seen[h]; !ok || !judged {
-		w.seen[h] = true
-		w.judged++
-	}
-	if version != "" {
-		w.version = version
-	}
-	w.mu.Unlock()
-}
-
 // advanceCursor commits judged progress, persisting at most every
 // CheckpointEvery (plus the final write when Run returns).
 func (w *Watcher) advanceCursor(block uint64) {
@@ -497,32 +436,17 @@ func (w *Watcher) advanceCursor(block uint64) {
 		w.cursor = block
 	}
 	w.mu.Unlock()
-	if w.cfg.CheckpointPath == "" || time.Since(w.lastCkpt) < w.cfg.CheckpointEvery {
-		return
+	if w.ledger.Due() {
+		w.saveCheckpoint()
 	}
-	w.saveCheckpointNow()
 }
 
-// saveCheckpointNow snapshots cursor + judged hashes and writes the
-// tx-modality checkpoint. Claimed-but-unjudged hashes are deliberately
-// excluded: a kill mid-score must replay them.
-func (w *Watcher) saveCheckpointNow() {
-	w.mu.Lock()
-	tc := monitor.TxCheckpoint{
-		Cursor:       w.cursor,
-		ModelVersion: w.version,
-		Seen:         make([][32]byte, 0, w.judged),
-	}
-	for h, judged := range w.seen {
-		if judged {
-			tc.Seen = append(tc.Seen, h)
-		}
-	}
-	w.mu.Unlock()
-	if err := monitor.SaveTxCheckpoint(w.cfg.CheckpointPath, tc); err != nil {
+// saveCheckpoint writes the cursor and the judged tx hashes as a
+// tx-modality checkpoint.
+func (w *Watcher) saveCheckpoint() {
+	if err := w.ledger.Save(w.Cursor()); err != nil {
 		w.ctr.errors.Add(1)
 	}
-	w.lastCkpt = time.Now()
 }
 
 // codeHashHex is the alert's dedup-compatible code hash: hex SHA-256 of the
