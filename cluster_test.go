@@ -171,7 +171,7 @@ func TestClusterRoutingExactlyOncePerReplica(t *testing.T) {
 
 // TestClusterRouterEndpoints covers the router's observability surface:
 // /healthz reports the router role and ring, /readyz answers 200, /metrics
-// exposes the phishinghook_cluster_* series.
+// is valid exposition carrying the phishinghook_cluster_* series.
 func TestClusterRouterEndpoints(t *testing.T) {
 	front, _, _, _ := startCluster(t, 2, ClusterConfig{})
 	var health struct {
@@ -199,6 +199,7 @@ func TestClusterRouterEndpoints(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	blob, _ := io.ReadAll(mresp.Body)
+	parseExposition(t, string(blob))
 	for _, want := range []string{
 		"phishinghook_cluster_replicas 2",
 		"phishinghook_cluster_requests_total",

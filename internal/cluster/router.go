@@ -4,16 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/evm"
+	"github.com/phishinghook/phishinghook/internal/obs"
 )
 
 // Config tunes a Router.
@@ -462,9 +461,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": "router"})
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		rt.writeMetrics(w)
-	})
+	mux.Handle("/metrics", obs.Handler(rt.writeMetrics))
 	mux.HandleFunc("/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -553,58 +550,23 @@ func respond(w http.ResponseWriter, verdicts []Verdict, err error, single bool, 
 	WriteScoreResponse(w, verdicts, single, t0)
 }
 
-// writeMetrics renders the phishinghook_cluster_* Prometheus series by hand
-// (same stdlib-only exposition as serve.go).
-func (rt *Router) writeMetrics(w http.ResponseWriter) {
-	var b strings.Builder
-	metric := func(name, help, typ string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
+// writeMetrics renders the phishinghook_cluster_* Prometheus series.
+func (rt *Router) writeMetrics(w *obs.Writer) {
 	s := rt.Stats()
-	metric("phishinghook_cluster_uptime_seconds", "Seconds since the router started.", "gauge", time.Since(rt.started).Seconds())
-	metric("phishinghook_cluster_replicas", "Replicas in the ring.", "gauge", float64(len(s.Replicas)))
-	metric("phishinghook_cluster_requests_total", "Score requests accepted by the router.", "counter", float64(s.Requests))
-	metric("phishinghook_cluster_scores_total", "Bytecodes routed to a successful verdict.", "counter", float64(s.Scored))
-	metric("phishinghook_cluster_rejected_total", "Requests refused with 429 at admission.", "counter", float64(s.Rejected))
-	metric("phishinghook_cluster_rehash_total", "Sub-batches served by a ring neighbor instead of the key owner.", "counter", float64(s.Rehashes))
-	metric("phishinghook_cluster_errors_total", "Sub-batches failed after all retries.", "counter", float64(s.Errors))
-	metric("phishinghook_cluster_pending", "Bytecodes admitted and awaiting verdicts.", "gauge", float64(s.Pending))
-	metric("phishinghook_cluster_watchdog_ejections_total", "Hung-replica watchdog demotions.", "counter", float64(s.Ejections))
-	metric("phishinghook_cluster_degraded_tx_total", "Tx verdicts answered by the code-only fallback.", "counter", float64(s.Degraded))
-	series := func(name, help, typ string, value func(ethrpc.EndpointStats) float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, ep := range s.Replicas {
-			fmt.Fprintf(&b, "%s{replica=%q} %g\n", name, ep.URL, value(ep))
-		}
-	}
-	series("phishinghook_cluster_replica_requests_total", "Sub-batches attempted per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Requests) })
-	series("phishinghook_cluster_replica_successes_total", "Sub-batches answered per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Successes) })
-	series("phishinghook_cluster_replica_rate_limited_total", "429 responses per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.RateLimited) })
-	series("phishinghook_cluster_replica_timeouts_total", "Timed-out exchanges per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Timeouts) })
-	series("phishinghook_cluster_replica_failures_total", "Other transport/server faults per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Failures) })
-	series("phishinghook_cluster_replica_hedges_total", "Hedged (raced) sub-batches per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Hedges) })
-	series("phishinghook_cluster_replica_limit", "Current AIMD concurrency window per replica.", "gauge",
-		func(e ethrpc.EndpointStats) float64 { return e.Limit })
-	series("phishinghook_cluster_replica_inflight", "Sub-batches currently charged against the window.", "gauge",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.Inflight) })
-	series("phishinghook_cluster_replica_health", "Success EWMA per replica.", "gauge",
-		func(e ethrpc.EndpointStats) float64 { return e.Health })
-	series("phishinghook_cluster_replica_breaker_trips_total", "Circuit-breaker openings per replica.", "counter",
-		func(e ethrpc.EndpointStats) float64 { return float64(e.BreakerTrips) })
-	fmt.Fprintf(&b, "# HELP phishinghook_cluster_ring_vnodes Virtual nodes per replica.\n# TYPE phishinghook_cluster_ring_vnodes gauge\n")
-	for _, name := range rt.ring.Replicas() {
-		fmt.Fprintf(&b, "phishinghook_cluster_ring_vnodes{replica=%q} %d\n", name, rt.ring.Vnodes())
-	}
-	fmt.Fprintf(&b, "# HELP phishinghook_cluster_ring_keyspace_fraction Share of the hash keyspace owned per replica.\n# TYPE phishinghook_cluster_ring_keyspace_fraction gauge\n")
-	for i, name := range rt.ring.Replicas() {
-		fmt.Fprintf(&b, "phishinghook_cluster_ring_keyspace_fraction{replica=%q} %g\n", name, rt.ring.OwnedFraction(i))
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
+	w.Metric("phishinghook_cluster_uptime_seconds", "Seconds since the router started.", obs.Gauge, time.Since(rt.started).Seconds())
+	w.Metric("phishinghook_cluster_replicas", "Replicas in the ring.", obs.Gauge, float64(len(s.Replicas)))
+	w.Metric("phishinghook_cluster_requests_total", "Score requests accepted by the router.", obs.Counter, float64(s.Requests))
+	w.Metric("phishinghook_cluster_scores_total", "Bytecodes routed to a successful verdict.", obs.Counter, float64(s.Scored))
+	w.Metric("phishinghook_cluster_rejected_total", "Requests refused with 429 at admission.", obs.Counter, float64(s.Rejected))
+	w.Metric("phishinghook_cluster_rehash_total", "Sub-batches served by a ring neighbor instead of the key owner.", obs.Counter, float64(s.Rehashes))
+	w.Metric("phishinghook_cluster_errors_total", "Sub-batches failed after all retries.", obs.Counter, float64(s.Errors))
+	w.Metric("phishinghook_cluster_pending", "Bytecodes admitted and awaiting verdicts.", obs.Gauge, float64(s.Pending))
+	w.Metric("phishinghook_cluster_watchdog_ejections_total", "Hung-replica watchdog demotions.", obs.Counter, float64(s.Ejections))
+	w.Metric("phishinghook_cluster_degraded_tx_total", "Tx verdicts answered by the code-only fallback.", obs.Counter, float64(s.Degraded))
+	ethrpc.WriteEndpointSeries(w, "phishinghook_cluster_replica_", "replica", s.Replicas)
+	names := rt.ring.Replicas()
+	w.Family("phishinghook_cluster_ring_vnodes", "Virtual nodes per replica.", obs.Gauge, "replica", len(names),
+		func(i int) (string, float64) { return names[i], float64(rt.ring.Vnodes()) })
+	w.Family("phishinghook_cluster_ring_keyspace_fraction", "Share of the hash keyspace owned per replica.", obs.Gauge, "replica", len(names),
+		func(i int) (string, float64) { return names[i], s.Keyspace[i] })
 }

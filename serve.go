@@ -4,17 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/cluster"
+	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/monitor"
+	"github.com/phishinghook/phishinghook/internal/obs"
 )
 
 // The scoring wire format lives in internal/cluster, shared by replica,
@@ -81,22 +81,26 @@ type ScoreBackend interface {
 // ServeOption configures NewScoreHandler.
 type ServeOption func(*serveState)
 
-// WithWatcher attaches a Watchtower watcher so /metrics and /healthz expose
-// its monitor counters (and, for multi-endpoint watchers, the fetch plane's
-// per-endpoint series) alongside the detector's.
+// WithWatcher attaches a Watchtower watcher so /metrics and /healthz
+// ("monitor") expose its pipeline counters and its fetch plane's
+// per-endpoint series alongside the detector's.
 func WithWatcher(w *Watcher) ServeOption {
-	return func(s *serveState) { s.watcher = w }
+	return attach(slotWatcher, "monitor", func() any { return w.Stats() }, func(m *obs.Writer) {
+		writeMonitorSeries(m, w.Stats())
+		writeEndpointSeries(m, w.Endpoints())
+	})
 }
 
-// WithBackfill attaches a backfill scanner so /metrics and /healthz expose
-// its pipeline counters, per-shard cursors and per-endpoint fetch-plane
-// series while the range scan runs. When a watcher is attached too, the
-// watcher owns the shared phishinghook_monitor_* / phishinghook_rpc_* metric
-// families (duplicate names are invalid exposition) and the backfill
-// contributes only its phishinghook_backfill_shard_* series; /healthz always
-// carries both full snapshots.
+// WithBackfill attaches a backfill scanner so /metrics and /healthz
+// ("backfill") expose its pipeline counters, per-endpoint fetch-plane series
+// and per-shard cursors while the range scan runs.
 func WithBackfill(b *Backfill) ServeOption {
-	return func(s *serveState) { s.backfill = b }
+	return attach(slotBackfill, "backfill", func() any { return b.Stats() }, func(m *obs.Writer) {
+		s := b.Stats()
+		writeMonitorSeries(m, s.Stats)
+		writeEndpointSeries(m, s.Endpoints)
+		writeShardSeries(m, s.Shards)
+	})
 }
 
 // WithPprof mounts the net/http/pprof endpoints on the score mux:
@@ -131,9 +135,18 @@ func WithLifecycle(lc *Lifecycle) ServeOption {
 }
 
 // WithRetrainer exposes a drift retrainer's counters on /metrics and
-// /healthz alongside the serving stats.
+// /healthz ("retrainer") alongside the serving stats.
 func WithRetrainer(r *Retrainer) ServeOption {
-	return func(s *serveState) { s.retrainer = r }
+	return attach(slotRetrainer, "retrainer", func() any { return r.Stats() }, func(m *obs.Writer) {
+		s := r.Stats()
+		m.Metric("phishinghook_retrainer_observed_total", "Scores observed by the drift retrainer.", obs.Counter, float64(s.Observed))
+		m.Metric("phishinghook_retrainer_checks_total", "Drift evaluations performed.", obs.Counter, float64(s.Checks))
+		m.Metric("phishinghook_retrainer_triggers_total", "Drift triggers fired.", obs.Counter, float64(s.Triggers))
+		m.Metric("phishinghook_retrainer_retrains_total", "Retraining rounds completed.", obs.Counter, float64(s.Retrains))
+		m.Metric("phishinghook_retrainer_train_errors_total", "Retraining rounds failed.", obs.Counter, float64(s.TrainErrors))
+		m.Metric("phishinghook_retrainer_last_psi", "Most recent PSI between reference and live scores.", obs.Gauge, s.LastPSI)
+		m.Metric("phishinghook_retrainer_last_ks_p", "Most recent two-sample KS p-value.", obs.Gauge, s.LastKSP)
+	})
 }
 
 // WithTxScorer attaches a transaction scorer (NewFusedTxScorer, or any
@@ -146,10 +159,17 @@ func WithTxScorer(ts TxScorer) ServeOption {
 }
 
 // WithTxWatcher attaches a transaction watcher so /metrics and /healthz
-// expose its stream counters (phishinghook_tx_* series) alongside the
-// contract-side state.
+// ("tx_monitor") expose its stream counters (phishinghook_tx_* series) and
+// its fetch plane's per-endpoint series alongside the contract-side state,
+// and mounts the /admin/poison quarantine surface.
 func WithTxWatcher(w *TxWatcher) ServeOption {
-	return func(s *serveState) { s.txWatcher = w }
+	return func(s *serveState) {
+		s.parts[slotTxWatcher] = part{"tx_monitor", func() any { return w.Stats() }, func(m *obs.Writer) {
+			writeTxSeries(m, w.Stats())
+			writeEndpointSeries(m, w.Endpoints())
+		}}
+		s.poison = w
+	}
 }
 
 // WithClusterRole labels this process's place in the scoring cluster —
@@ -165,13 +185,37 @@ func WithClusterRole(role string) ServeOption {
 	}
 }
 
+// The attachment slots, in /metrics order. A family name may appear only
+// once in a scrape and the obs.Writer keeps the first offer, so this order
+// decides who owns a shared family: the watcher's pipeline and endpoint
+// series win over the backfill's, and both over the tx watcher's plane.
+const (
+	slotAdversary = iota
+	slotLifecycle
+	slotRetrainer
+	slotWatcher
+	slotBackfill
+	slotTxWatcher
+	numSlots
+)
+
+// part is one attached component: its /healthz key and snapshot (none when
+// key is empty) and its /metrics families.
+type part struct {
+	key     string
+	stats   func() any
+	metrics func(*obs.Writer)
+}
+
+func attach(slot int, key string, stats func() any, metrics func(*obs.Writer)) ServeOption {
+	return func(s *serveState) { s.parts[slot] = part{key, stats, metrics} }
+}
+
 type serveState struct {
-	watcher   *monitor.Watcher
-	backfill  *Backfill
+	parts     [numSlots]part
 	txScorer  TxScorer
-	txWatcher *TxWatcher
+	poison    *TxWatcher
 	lifecycle *Lifecycle
-	retrainer *Retrainer
 	pprof     bool
 	role      string
 	started   time.Time
@@ -195,6 +239,12 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 	state := &serveState{started: time.Now(), role: "standalone"}
 	for _, opt := range opts {
 		opt(state)
+	}
+	if as, ok := d.(interface{ AdversaryStats() AdversaryStats }); ok {
+		state.parts[slotAdversary] = part{metrics: func(m *obs.Writer) { writeAdversarySeries(m, as.AdversaryStats()) }}
+	}
+	if sw, ok := d.(*Swappable); ok {
+		state.parts[slotLifecycle] = part{"lifecycle", func() any { return sw.SwapStats() }, func(m *obs.Writer) { writeLifecycleMetrics(m, sw.SwapStats()) }}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
@@ -231,20 +281,10 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 			"scores":         d.ScoreCount(),
 			"uptime_seconds": time.Since(state.started).Seconds(),
 		}
-		if sw, ok := d.(*Swappable); ok {
-			body["lifecycle"] = sw.SwapStats()
-		}
-		if state.retrainer != nil {
-			body["retrainer"] = state.retrainer.Stats()
-		}
-		if state.watcher != nil {
-			body["monitor"] = state.watcher.Stats()
-		}
-		if state.backfill != nil {
-			body["backfill"] = state.backfill.Stats()
-		}
-		if state.txWatcher != nil {
-			body["tx_monitor"] = state.txWatcher.Stats()
+		for _, p := range state.parts {
+			if p.key != "" {
+				body[p.key] = p.stats()
+			}
 		}
 		cluster.WriteJSON(w, http.StatusOK, body)
 	})
@@ -267,14 +307,23 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 		}
 		cluster.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": state.role})
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeMetrics(w, d, state)
-	})
+	mux.Handle("/metrics", obs.Handler(func(m *obs.Writer) {
+		hits, misses := d.CacheStats()
+		m.Metric("phishinghook_uptime_seconds", "Seconds since the handler started.", obs.Gauge, time.Since(state.started).Seconds())
+		m.Metric("phishinghook_scores_total", "Bytecodes scored by the detector.", obs.Counter, float64(d.ScoreCount()))
+		m.Metric("phishinghook_feature_cache_hits_total", "Feature-cache hits.", obs.Counter, float64(hits))
+		m.Metric("phishinghook_feature_cache_misses_total", "Feature-cache misses.", obs.Counter, float64(misses))
+		for _, p := range state.parts {
+			if p.metrics != nil {
+				p.metrics(m)
+			}
+		}
+	}))
 	if state.lifecycle != nil {
 		mountAdmin(mux, state.lifecycle)
 	}
-	if state.txWatcher != nil {
-		mountPoisonAdmin(mux, state.txWatcher)
+	if state.poison != nil {
+		mountPoisonAdmin(mux, state.poison)
 	}
 	if state.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -363,213 +412,98 @@ func mountAdmin(mux *http.ServeMux, lc *Lifecycle) {
 	})
 }
 
-// writeMetrics renders the Prometheus text exposition format by hand — the
-// stdlib-only constraint rules out the client library, and the format is
-// three lines per series.
-func writeMetrics(w http.ResponseWriter, d ScoreBackend, state *serveState) {
-	var b strings.Builder
-	metric := func(name, help, typ string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
-	hits, misses := d.CacheStats()
-	metric("phishinghook_uptime_seconds", "Seconds since the handler started.", "gauge", time.Since(state.started).Seconds())
-	metric("phishinghook_scores_total", "Bytecodes scored by the detector.", "counter", float64(d.ScoreCount()))
-	metric("phishinghook_feature_cache_hits_total", "Feature-cache hits.", "counter", float64(hits))
-	metric("phishinghook_feature_cache_misses_total", "Feature-cache misses.", "counter", float64(misses))
-	if as, ok := d.(interface{ AdversaryStats() AdversaryStats }); ok {
-		s := as.AdversaryStats()
-		metric("phishinghook_adversary_scored_total", "Verdicts served with evasion telemetry.", "counter", float64(s.Scored))
-		metric("phishinghook_adversary_suspects_total", "Verdicts flagged evasion-suspect.", "counter", float64(s.Suspects))
-		metric("phishinghook_adversary_proxies_total", "EIP-1167 minimal proxies scored.", "counter", float64(s.Proxies))
-		metric("phishinghook_adversary_mean_dead_ratio", "Mean dead-code ratio over telemetry-scored verdicts.", "gauge", s.MeanDeadRatio)
-		metric("phishinghook_adversary_mean_divergence", "Mean raw-vs-canonical score divergence over telemetry-scored verdicts.", "gauge", s.MeanDivergence)
-	}
-	if sw, ok := d.(*Swappable); ok {
-		writeLifecycleMetrics(&b, metric, sw.SwapStats())
-	}
-	if rt := state.retrainer; rt != nil {
-		s := rt.Stats()
-		metric("phishinghook_retrainer_observed_total", "Scores observed by the drift retrainer.", "counter", float64(s.Observed))
-		metric("phishinghook_retrainer_checks_total", "Drift evaluations performed.", "counter", float64(s.Checks))
-		metric("phishinghook_retrainer_triggers_total", "Drift triggers fired.", "counter", float64(s.Triggers))
-		metric("phishinghook_retrainer_retrains_total", "Retraining rounds completed.", "counter", float64(s.Retrains))
-		metric("phishinghook_retrainer_train_errors_total", "Retraining rounds failed.", "counter", float64(s.TrainErrors))
-		metric("phishinghook_retrainer_last_psi", "Most recent PSI between reference and live scores.", "gauge", s.LastPSI)
-		metric("phishinghook_retrainer_last_ks_p", "Most recent two-sample KS p-value.", "gauge", s.LastKSP)
-	}
-	if wt := state.watcher; wt != nil {
-		writeMonitorSeries(&b, metric, wt.Stats())
-		writeEndpointSeries(&b, wt.Endpoints())
-	}
-	if bf := state.backfill; bf != nil {
-		s := bf.Stats()
-		// The pipeline and endpoint families are shared with the watcher;
-		// emitting them twice would duplicate metric names (invalid
-		// exposition, Prometheus drops the whole scrape), so with both
-		// attached the watcher owns those families and the backfill
-		// contributes its shard progress.
-		if state.watcher == nil {
-			writeMonitorSeries(&b, metric, s.Stats)
-			writeEndpointSeries(&b, s.Endpoints)
-		}
-		writeShardSeries(&b, s.Shards)
-	}
-	if tw := state.txWatcher; tw != nil {
-		writeTxSeries(&b, metric, tw.Stats())
-		// The phishinghook_rpc_endpoint_* family is owned by whichever
-		// ingestion workload is attached first (watcher, then backfill);
-		// the tx watcher contributes its plane only when it is alone.
-		if state.watcher == nil && state.backfill == nil {
-			writeEndpointSeries(&b, tw.Endpoints())
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
+// writeAdversarySeries renders the serving-time evasion telemetry.
+func writeAdversarySeries(m *obs.Writer, s AdversaryStats) {
+	m.Metric("phishinghook_adversary_scored_total", "Verdicts served with evasion telemetry.", obs.Counter, float64(s.Scored))
+	m.Metric("phishinghook_adversary_suspects_total", "Verdicts flagged evasion-suspect.", obs.Counter, float64(s.Suspects))
+	m.Metric("phishinghook_adversary_proxies_total", "EIP-1167 minimal proxies scored.", obs.Counter, float64(s.Proxies))
+	m.Metric("phishinghook_adversary_mean_dead_ratio", "Mean dead-code ratio over telemetry-scored verdicts.", obs.Gauge, s.MeanDeadRatio)
+	m.Metric("phishinghook_adversary_mean_divergence", "Mean raw-vs-canonical score divergence over telemetry-scored verdicts.", obs.Gauge, s.MeanDivergence)
 }
 
 // writeTxSeries renders the transaction-stream counters.
-func writeTxSeries(b *strings.Builder, metric func(name, help, typ string, v float64), s TxWatcherStats) {
-	metric("phishinghook_tx_cursor_block", "Last block whose visible txs are all judged.", "gauge", float64(s.Cursor))
-	metric("phishinghook_tx_polls_total", "Pending-tx feed polls performed.", "counter", float64(s.Polls))
-	metric("phishinghook_tx_seen_total", "Transactions delivered by the feed.", "counter", float64(s.TxsSeen))
-	metric("phishinghook_tx_scored_total", "Transactions run through the fused scorer.", "counter", float64(s.TxsScored))
-	metric("phishinghook_tx_dedup_hits_total", "Feed replays skipped as already judged.", "counter", float64(s.DedupHits))
-	metric("phishinghook_tx_alerts_total", "Transaction alerts emitted.", "counter", float64(s.Alerts))
-	metric("phishinghook_tx_poisoned_total", "Transactions abandoned after repeated score failures.", "counter", float64(s.Poisoned))
-	metric("phishinghook_tx_errors_total", "RPC/score/sink errors on the tx stream.", "counter", float64(s.Errors))
-	metric("phishinghook_tx_feed_reopens_total", "Pending-tx filter reinstalls after loss.", "counter", float64(s.FeedReopens))
-	metric("phishinghook_tx_code_cache_hits_total", "Callee-bytecode cache hits.", "counter", float64(s.CodeCacheHits))
-	metric("phishinghook_tx_code_cache_misses_total", "Callee-bytecode cache misses.", "counter", float64(s.CodeCacheMisses))
-	fmt.Fprintf(b, "# HELP phishinghook_tx_score_latency_ms Fused tx score latency quantile upper bounds.\n"+
-		"# TYPE phishinghook_tx_score_latency_ms summary\n"+
-		"phishinghook_tx_score_latency_ms{quantile=\"0.5\"} %g\n"+
-		"phishinghook_tx_score_latency_ms{quantile=\"0.99\"} %g\n",
-		s.ScoreP50MS, s.ScoreP99MS)
-	if s.ModelVersion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_tx_model_version Lifecycle version behind the most recent fused score.\n"+
-			"# TYPE phishinghook_tx_model_version gauge\n"+
-			"phishinghook_tx_model_version{version=%q} 1\n", s.ModelVersion)
-	}
+func writeTxSeries(m *obs.Writer, s TxWatcherStats) {
+	m.Metric("phishinghook_tx_cursor_block", "Last block whose visible txs are all judged.", obs.Gauge, float64(s.Cursor))
+	m.Metric("phishinghook_tx_polls_total", "Pending-tx feed polls performed.", obs.Counter, float64(s.Polls))
+	m.Metric("phishinghook_tx_seen_total", "Transactions delivered by the feed.", obs.Counter, float64(s.TxsSeen))
+	m.Metric("phishinghook_tx_scored_total", "Transactions run through the fused scorer.", obs.Counter, float64(s.TxsScored))
+	m.Metric("phishinghook_tx_dedup_hits_total", "Feed replays skipped as already judged.", obs.Counter, float64(s.DedupHits))
+	m.Metric("phishinghook_tx_alerts_total", "Transaction alerts emitted.", obs.Counter, float64(s.Alerts))
+	m.Metric("phishinghook_tx_poisoned_total", "Transactions abandoned after repeated score failures.", obs.Counter, float64(s.Poisoned))
+	m.Metric("phishinghook_tx_errors_total", "RPC/score/sink errors on the tx stream.", obs.Counter, float64(s.Errors))
+	m.Metric("phishinghook_tx_feed_reopens_total", "Pending-tx filter reinstalls after loss.", obs.Counter, float64(s.FeedReopens))
+	m.Metric("phishinghook_tx_code_cache_hits_total", "Callee-bytecode cache hits.", obs.Counter, float64(s.CodeCacheHits))
+	m.Metric("phishinghook_tx_code_cache_misses_total", "Callee-bytecode cache misses.", obs.Counter, float64(s.CodeCacheMisses))
+	m.Quantiles("phishinghook_tx_score_latency_ms", "Fused tx score latency quantile upper bounds.", s.ScoreP50MS, s.ScoreP99MS)
+	m.Info("phishinghook_tx_model_version", "Lifecycle version behind the most recent fused score.", "version", s.ModelVersion)
 }
 
 // writeMonitorSeries renders the shared ingestion-pipeline counters — the
 // same series whether a live watcher or a backfill drives the pipeline.
-func writeMonitorSeries(b *strings.Builder, metric func(name, help, typ string, v float64), s WatcherStats) {
-	metric("phishinghook_monitor_cursor_block", "Last fully scored block.", "gauge", float64(s.Cursor))
-	metric("phishinghook_monitor_polls_total", "Head polls performed.", "counter", float64(s.Polls))
-	metric("phishinghook_monitor_blocks_seen_total", "Blocks scanned.", "counter", float64(s.BlocksSeen))
-	metric("phishinghook_monitor_contracts_seen_total", "Deployments observed.", "counter", float64(s.ContractsSeen))
-	metric("phishinghook_monitor_contracts_scored_total", "Deployments scored.", "counter", float64(s.ContractsScored))
-	metric("phishinghook_monitor_dedup_hits_total", "Deployments skipped as bytecode duplicates.", "counter", float64(s.DedupHits))
-	metric("phishinghook_monitor_alerts_total", "Alerts emitted.", "counter", float64(s.Alerts))
-	metric("phishinghook_monitor_dropped_total", "Deployments shed under the drop policy.", "counter", float64(s.Dropped))
-	metric("phishinghook_monitor_poisoned_total", "Bytecodes abandoned after repeated score failures.", "counter", float64(s.Poisoned))
-	metric("phishinghook_monitor_errors_total", "RPC/registry/sink errors.", "counter", float64(s.Errors))
-	metric("phishinghook_monitor_queue_depth", "Score-queue occupancy.", "gauge", float64(s.QueueDepth))
-	metric("phishinghook_monitor_queue_capacity", "Score-queue bound.", "gauge", float64(s.QueueCap))
-	fmt.Fprintf(b, "# HELP phishinghook_monitor_score_latency_ms Score latency quantile upper bounds.\n"+
-		"# TYPE phishinghook_monitor_score_latency_ms summary\n"+
-		"phishinghook_monitor_score_latency_ms{quantile=\"0.5\"} %g\n"+
-		"phishinghook_monitor_score_latency_ms{quantile=\"0.99\"} %g\n",
-		s.ScoreP50MS, s.ScoreP99MS)
-	if s.ModelVersion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_monitor_model_version Lifecycle version of the most recent score.\n"+
-			"# TYPE phishinghook_monitor_model_version gauge\n"+
-			"phishinghook_monitor_model_version{version=%q} 1\n", s.ModelVersion)
-	}
+func writeMonitorSeries(m *obs.Writer, s WatcherStats) {
+	m.Metric("phishinghook_monitor_cursor_block", "Last fully scored block.", obs.Gauge, float64(s.Cursor))
+	m.Metric("phishinghook_monitor_polls_total", "Head polls performed.", obs.Counter, float64(s.Polls))
+	m.Metric("phishinghook_monitor_blocks_seen_total", "Blocks scanned.", obs.Counter, float64(s.BlocksSeen))
+	m.Metric("phishinghook_monitor_contracts_seen_total", "Deployments observed.", obs.Counter, float64(s.ContractsSeen))
+	m.Metric("phishinghook_monitor_contracts_scored_total", "Deployments scored.", obs.Counter, float64(s.ContractsScored))
+	m.Metric("phishinghook_monitor_dedup_hits_total", "Deployments skipped as bytecode duplicates.", obs.Counter, float64(s.DedupHits))
+	m.Metric("phishinghook_monitor_alerts_total", "Alerts emitted.", obs.Counter, float64(s.Alerts))
+	m.Metric("phishinghook_monitor_dropped_total", "Deployments shed under the drop policy.", obs.Counter, float64(s.Dropped))
+	m.Metric("phishinghook_monitor_poisoned_total", "Bytecodes abandoned after repeated score failures.", obs.Counter, float64(s.Poisoned))
+	m.Metric("phishinghook_monitor_errors_total", "RPC/registry/sink errors.", obs.Counter, float64(s.Errors))
+	m.Metric("phishinghook_monitor_queue_depth", "Score-queue occupancy.", obs.Gauge, float64(s.QueueDepth))
+	m.Metric("phishinghook_monitor_queue_capacity", "Score-queue bound.", obs.Gauge, float64(s.QueueCap))
+	m.Quantiles("phishinghook_monitor_score_latency_ms", "Score latency quantile upper bounds.", s.ScoreP50MS, s.ScoreP99MS)
+	m.Info("phishinghook_monitor_model_version", "Lifecycle version of the most recent score.", "version", s.ModelVersion)
 }
 
-// writeEndpointSeries renders the fetch plane's per-endpoint scheduler
-// state — the operator view of AIMD windows, health and congestion that the
-// backfill/watch throughput story is steered by.
-func writeEndpointSeries(b *strings.Builder, eps []EndpointStats) {
-	if len(eps) == 0 {
-		return
-	}
-	series := func(name, help, typ string, value func(EndpointStats) float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, ep := range eps {
-			fmt.Fprintf(b, "%s{endpoint=%q} %g\n", name, ep.URL, value(ep))
-		}
-	}
-	series("phishinghook_rpc_endpoint_requests_total", "RPC exchanges attempted per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Requests) })
-	series("phishinghook_rpc_endpoint_successes_total", "RPC exchanges answered per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Successes) })
-	series("phishinghook_rpc_endpoint_rate_limited_total", "429 responses per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.RateLimited) })
-	series("phishinghook_rpc_endpoint_timeouts_total", "Timed-out exchanges per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Timeouts) })
-	series("phishinghook_rpc_endpoint_failures_total", "Other transport/server faults per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Failures) })
-	series("phishinghook_rpc_endpoint_hedges_total", "Hedged (raced) requests per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Hedges) })
-	series("phishinghook_rpc_endpoint_limit", "Current AIMD concurrency window (0 = uncapped single-endpoint mode).", "gauge",
-		func(e EndpointStats) float64 { return e.Limit })
-	series("phishinghook_rpc_endpoint_inflight", "Exchanges currently charged against the window.", "gauge",
-		func(e EndpointStats) float64 { return float64(e.Inflight) })
-	series("phishinghook_rpc_endpoint_health", "Success EWMA per endpoint.", "gauge",
-		func(e EndpointStats) float64 { return e.Health })
+// writeEndpointSeries renders an ingestion fetch plane's per-endpoint
+// scheduler state as the phishinghook_rpc_endpoint_* families.
+func writeEndpointSeries(m *obs.Writer, eps []EndpointStats) {
+	ethrpc.WriteEndpointSeries(m, "phishinghook_rpc_endpoint_", "endpoint", eps)
 }
 
 // writeShardSeries renders backfill shard progress.
-func writeShardSeries(b *strings.Builder, shards []monitor.ShardStats) {
-	if len(shards) == 0 {
-		return
+func writeShardSeries(m *obs.Writer, shards []monitor.ShardStats) {
+	series := func(name, help string, value func(monitor.ShardStats) float64) {
+		m.Family(name, help, obs.Gauge, "shard", len(shards), func(i int) (string, float64) { return strconv.Itoa(i), value(shards[i]) })
 	}
-	series := func(name, help, typ string, value func(monitor.ShardStats) float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for i, sh := range shards {
-			fmt.Fprintf(b, "%s{shard=\"%d\"} %g\n", name, i, value(sh))
-		}
-	}
-	series("phishinghook_backfill_shard_cursor", "Last fully scored block per shard.", "gauge",
+	series("phishinghook_backfill_shard_cursor", "Last fully scored block per shard.",
 		func(s monitor.ShardStats) float64 { return float64(s.Cursor) })
-	series("phishinghook_backfill_shard_done", "1 once the shard finished its range.", "gauge",
+	series("phishinghook_backfill_shard_done", "1 once the shard finished its range.",
 		func(s monitor.ShardStats) float64 {
 			if s.Done {
 				return 1
 			}
 			return 0
 		})
-	series("phishinghook_backfill_shard_remaining_blocks", "Blocks left to scan per shard.", "gauge",
+	series("phishinghook_backfill_shard_remaining_blocks", "Blocks left to scan per shard.",
 		func(s monitor.ShardStats) float64 { return float64(s.To - s.Cursor) })
 }
 
 // writeLifecycleMetrics renders the Swappable's per-version counters and
 // shadow divergence — the champion/challenger observability the admin flow
 // is steered by.
-func writeLifecycleMetrics(b *strings.Builder, metric func(name, help, typ string, v float64), s SwapStats) {
-	if s.Champion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_champion_info Live champion model version.\n"+
-			"# TYPE phishinghook_champion_info gauge\nphishinghook_champion_info{version=%q} 1\n", s.Champion)
+func writeLifecycleMetrics(m *obs.Writer, s SwapStats) {
+	m.Info("phishinghook_champion_info", "Live champion model version.", "version", s.Champion)
+	m.Info("phishinghook_challenger_info", "Live shadow challenger model version.", "version", s.Challenger)
+	m.Metric("phishinghook_model_swaps_total", "Model hot-swaps performed on the serving handle.", obs.Counter, float64(s.Swaps))
+	series := func(name, help string, typ obs.Type, value func(VersionStats) float64) {
+		m.Family(name, help, typ, "version", len(s.Versions), func(i int) (string, float64) { return s.Versions[i].Version, value(s.Versions[i]) })
 	}
-	if s.Challenger != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_challenger_info Live shadow challenger model version.\n"+
-			"# TYPE phishinghook_challenger_info gauge\nphishinghook_challenger_info{version=%q} 1\n", s.Challenger)
-	}
-	metric("phishinghook_model_swaps_total", "Model hot-swaps performed on the serving handle.", "counter", float64(s.Swaps))
-	if len(s.Versions) > 0 {
-		series := func(name, help string, value func(VersionStats) float64, typ string) {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, v := range s.Versions {
-				fmt.Fprintf(b, "%s{version=%q} %g\n", name, v.Version, value(v))
-			}
-		}
-		series("phishinghook_version_scored_total", "Scores served per model version.",
-			func(v VersionStats) float64 { return float64(v.Scored) }, "counter")
-		series("phishinghook_version_flagged_total", "Phishing verdicts per model version.",
-			func(v VersionStats) float64 { return float64(v.Flagged) }, "counter")
-		series("phishinghook_version_shadow_scored_total", "Shadow (challenger) scores per model version.",
-			func(v VersionStats) float64 { return float64(v.ShadowScored) }, "counter")
-		series("phishinghook_version_precision_proxy", "High-confidence share of flags per version (ground-truth-free precision indicator).",
-			func(v VersionStats) float64 { return v.PrecisionProxy }, "gauge")
-	}
-	metric("phishinghook_shadow_compared_total", "Deployments scored by both champion and challenger.", "counter", float64(s.Shadow.Compared))
-	metric("phishinghook_shadow_disagreements_total", "Champion/challenger label disagreements.", "counter", float64(s.Shadow.Disagreements))
-	metric("phishinghook_shadow_mean_abs_delta", "Mean |P_champion - P_challenger| over compared traffic.", "gauge", s.Shadow.MeanAbsDelta)
-	metric("phishinghook_shadow_dropped_total", "Shadow replays shed on a full queue.", "counter", float64(s.Shadow.Dropped))
-	metric("phishinghook_shadow_errors_total", "Challenger score failures.", "counter", float64(s.Shadow.Errors))
+	series("phishinghook_version_scored_total", "Scores served per model version.", obs.Counter,
+		func(v VersionStats) float64 { return float64(v.Scored) })
+	series("phishinghook_version_flagged_total", "Phishing verdicts per model version.", obs.Counter,
+		func(v VersionStats) float64 { return float64(v.Flagged) })
+	series("phishinghook_version_shadow_scored_total", "Shadow (challenger) scores per model version.", obs.Counter,
+		func(v VersionStats) float64 { return float64(v.ShadowScored) })
+	series("phishinghook_version_precision_proxy", "High-confidence share of flags per version (ground-truth-free precision indicator).", obs.Gauge,
+		func(v VersionStats) float64 { return v.PrecisionProxy })
+	m.Metric("phishinghook_shadow_compared_total", "Deployments scored by both champion and challenger.", obs.Counter, float64(s.Shadow.Compared))
+	m.Metric("phishinghook_shadow_disagreements_total", "Champion/challenger label disagreements.", obs.Counter, float64(s.Shadow.Disagreements))
+	m.Metric("phishinghook_shadow_mean_abs_delta", "Mean |P_champion - P_challenger| over compared traffic.", obs.Gauge, s.Shadow.MeanAbsDelta)
+	m.Metric("phishinghook_shadow_dropped_total", "Shadow replays shed on a full queue.", obs.Counter, float64(s.Shadow.Dropped))
+	m.Metric("phishinghook_shadow_errors_total", "Challenger score failures.", obs.Counter, float64(s.Shadow.Errors))
 }
 
 // mountPoisonAdmin wires the tx quarantine's operator surface onto the mux:

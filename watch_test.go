@@ -285,6 +285,7 @@ func TestMetricsWithBackfill(t *testing.T) {
 		"phishinghook_rpc_endpoint_requests_total{endpoint=",
 		"phishinghook_rpc_endpoint_limit{endpoint=",
 		"phishinghook_rpc_endpoint_health{endpoint=",
+		"phishinghook_rpc_endpoint_breaker_trips_total{endpoint=",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
