@@ -198,7 +198,7 @@ func exchange(ctx context.Context, httpc *http.Client, timeout time.Duration, ba
 	if err != nil {
 		return nil, fault("transport", err)
 	}
-	defer resp.Body.Close()
+	defer ethrpc.DrainClose(resp.Body)
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,6 +138,20 @@ func NewPooledTransport() *http.Transport {
 	return t
 }
 
+// maxDrain bounds how much of an unwanted response body DrainClose reads.
+const maxDrain = 64 << 10
+
+// DrainClose discards up to 64 KB of a response body and closes it. The
+// transport returns a connection to its idle pool only once the body has
+// been read to EOF, so closing the unread body of a refused exchange (429,
+// 5xx) would cost a fresh TCP connection per refusal, exactly when the
+// endpoint is already overloaded. A larger body is not worth reading; its
+// connection is dropped.
+func DrainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	_ = body.Close()
+}
+
 // wireRequest is the JSON-RPC 2.0 request envelope.
 type wireRequest struct {
 	JSONRPC string `json:"jsonrpc"`
@@ -145,84 +160,63 @@ type wireRequest struct {
 	Params  []any  `json:"params"`
 }
 
-// wireResponse is the JSON-RPC 2.0 response envelope.
-type wireResponse struct {
-	ID     int64           `json:"id"`
-	Result json.RawMessage `json:"result"`
-	Error  *rpcError       `json:"error"`
+// wireResponse is the JSON-RPC 2.0 response envelope, typed by its result
+// member so one json.Unmarshal of the body fills the caller's result
+// directly.
+type wireResponse[T any] struct {
+	ID     int64     `json:"id"`
+	Result T         `json:"result"`
+	Error  *rpcError `json:"error"`
 }
 
 // call performs one JSON-RPC call with retry on transport errors, 429s and
-// 5xx statuses. JSON-RPC application errors are not retried: the server has
-// answered authoritatively.
-func (c *Client) call(ctx context.Context, method string, params ...any) (json.RawMessage, error) {
+// 5xx statuses, and returns the result member decoded as a T. JSON-RPC
+// application errors are not retried: the server has answered
+// authoritatively.
+func call[T any](ctx context.Context, c *Client, method string, params ...any) (T, error) {
+	var resp wireResponse[T]
+	var zero T
 	if params == nil {
 		params = []any{}
 	}
 	reqBody, err := json.Marshal(wireRequest{JSONRPC: "2.0", ID: c.nextID.Add(1), Method: method, Params: params})
 	if err != nil {
-		return nil, fmt.Errorf("ethrpc: marshal request: %w", err)
+		return zero, fmt.Errorf("ethrpc: marshal request: %w", err)
 	}
-	var rpcResp wireResponse
-	if err := c.post(ctx, reqBody, &rpcResp); err != nil {
-		return nil, fmt.Errorf("ethrpc: %s: %w", method, err)
+	if err := c.post(ctx, reqBody, &resp); err != nil {
+		return zero, fmt.Errorf("ethrpc: %s: %w", method, err)
 	}
-	if rpcResp.Error != nil {
-		return nil, rpcResp.Error
+	if resp.Error != nil {
+		return zero, resp.Error
 	}
-	return rpcResp.Result, nil
+	return resp.Result, nil
 }
 
-// callBatch sends one JSON-RPC 2.0 batch (an array of requests for the same
-// method) in a single HTTP round trip and returns the per-item results in
-// request order, matching responses by id as the spec allows reordering.
-// The first item-level application error fails the batch.
-func (c *Client) callBatch(ctx context.Context, method string, paramsList [][]any) ([]json.RawMessage, error) {
-	if len(paramsList) == 0 {
-		return nil, nil
-	}
-	n := int64(len(paramsList))
-	base := c.nextID.Add(n) - n + 1
-	reqs := make([]wireRequest, len(paramsList))
-	for i, params := range paramsList {
-		if params == nil {
-			params = []any{}
-		}
-		reqs[i] = wireRequest{JSONRPC: "2.0", ID: base + int64(i), Method: method, Params: params}
-	}
-	reqBody, err := json.Marshal(reqs)
-	if err != nil {
-		return nil, fmt.Errorf("ethrpc: marshal batch: %w", err)
-	}
-	var resps []wireResponse
-	if err := c.post(ctx, reqBody, &resps); err != nil {
-		return nil, fmt.Errorf("ethrpc: %s batch: %w", method, err)
-	}
-	byID := make(map[int64]*wireResponse, len(resps))
-	for i := range resps {
-		byID[resps[i].ID] = &resps[i]
-	}
-	out := make([]json.RawMessage, len(paramsList))
-	for i := range paramsList {
-		resp, ok := byID[base+int64(i)]
-		if !ok {
-			return nil, fmt.Errorf("ethrpc: %s batch: missing response for item %d", method, i)
-		}
-		if resp.Error != nil {
-			return nil, fmt.Errorf("ethrpc: %s batch item %d: %w", method, i, resp.Error)
-		}
-		out[i] = resp.Result
-	}
-	return out, nil
-}
+// readBufPool recycles the buffers response bodies are read into. Decoded
+// results never alias them (json copies strings, hexCode allocates the
+// code), so only this transient buffer is pooled and the caller owns what
+// it gets back. A buffer grown past maxPooledRead is left to the GC so one
+// outsized response cannot pin its memory in the pool.
+var readBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// post runs the retry loop around one HTTP exchange, decoding the response
-// body into `into`. A body that fails to decode counts as a transient fault
-// (torn proxy response) and is retried like a transport error. Retries sleep
-// a jittered exponential backoff, except after a 429 that carried a
-// Retry-After header — the server has named its price, so that wait (capped,
-// jittered) is honored instead.
+const maxPooledRead = 1 << 20
+
+// post runs the retry loop around one HTTP exchange and decodes the response
+// body into `into` in one pass. json.Unmarshal checks the whole document
+// before it populates anything, so a torn body (a *json.SyntaxError) never
+// leaves stale fields behind and is retried like a transport error;
+// well-formed JSON of the wrong shape is the server's authoritative answer
+// and is not. Retries sleep a jittered exponential backoff, except after a
+// 429 that carried a Retry-After header — the server has named its price,
+// so that wait (capped, jittered) is honored instead.
 func (c *Client) post(ctx context.Context, body []byte, into any) error {
+	buf := readBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			buf.Reset()
+			readBufPool.Put(buf)
+		}
+	}()
 	var lastErr error
 	backoff := c.backoff
 	for attempt := 0; attempt < c.attempts; attempt++ {
@@ -234,19 +228,15 @@ func (c *Client) post(ctx context.Context, body []byte, into any) error {
 			}
 			backoff *= 2
 		}
-		raw, retryable, err := c.once(ctx, body)
+		buf.Reset()
+		retryable, err := c.once(ctx, body, buf)
 		if err == nil {
-			// Validate the document shape first so a torn response never
-			// partially populates `into` and survives a later successful
-			// retry with stale fields.
-			var checked json.RawMessage
-			if err = json.Unmarshal(raw, &checked); err == nil {
-				if err = json.Unmarshal(checked, into); err != nil {
-					// Well-formed JSON of the wrong shape: the server has
-					// answered authoritatively, don't retry.
-					return fmt.Errorf("decode response: %w", err)
-				}
+			if err = json.Unmarshal(buf.Bytes(), into); err == nil {
 				return nil
+			}
+			var syntax *json.SyntaxError
+			if !errors.As(err, &syntax) {
+				return fmt.Errorf("decode response: %w", err)
 			}
 			err = fmt.Errorf("decode response: %w", err)
 			retryable = true
@@ -259,33 +249,33 @@ func (c *Client) post(ctx context.Context, body []byte, into any) error {
 	return &transientError{fmt.Errorf("failed after %d attempts: %w", c.attempts, lastErr)}
 }
 
-func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable bool, err error) {
+// once runs one HTTP exchange, reading a 200 body into buf.
+func (c *Client) once(ctx context.Context, body []byte, buf *bytes.Buffer) (retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
 	if err != nil {
-		return nil, false, fmt.Errorf("build request: %w", err)
+		return false, fmt.Errorf("build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, true, fmt.Errorf("transport: %w", err)
+		return true, fmt.Errorf("transport: %w", err)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	if resp.StatusCode >= 500 {
-		return nil, true, fmt.Errorf("server status %d", resp.StatusCode)
+		return true, fmt.Errorf("server status %d", resp.StatusCode)
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// Rate-limited providers (Infura, Alchemy, …) answer 429 under
 		// burst; surface the Retry-After so the retry loop can honor it.
-		return nil, true, &RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
+		return true, &RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("unexpected status %d", resp.StatusCode)
+		return false, fmt.Errorf("unexpected status %d", resp.StatusCode)
 	}
-	raw, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, true, fmt.Errorf("read response: %w", err)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return true, fmt.Errorf("read response: %w", err)
 	}
-	return raw, false, nil
+	return false, nil
 }
 
 // parseRetryAfter reads a Retry-After value in seconds. Fractional seconds
@@ -305,78 +295,154 @@ func parseRetryAfter(v string) time.Duration {
 // GetCode fetches the deployed bytecode at addr ("latest" block). A nil,
 // nil return means no code is deployed there (an EOA).
 func (c *Client) GetCode(ctx context.Context, addr chain.Address) ([]byte, error) {
-	raw, err := c.call(ctx, "eth_getCode", addr.String(), "latest")
+	h, err := call[hexCode](ctx, c, "eth_getCode", addr.String(), "latest")
 	if err != nil {
 		return nil, err
 	}
-	return decodeCodeResult(raw)
+	return h.bytes()
 }
 
 // GetCodeBatch fetches deployed bytecode for many addresses in one JSON-RPC
 // 2.0 batch round trip (the Watchtower's fetch hot path: amortizing the HTTP
 // exchange across a window's deployments is worth ~an order of magnitude in
-// contracts/sec). Results align with addrs; nil entries are EOAs.
+// contracts/sec). Results align with addrs; nil entries are EOAs. Responses
+// are matched by id, as the spec allows reordering; the first missing
+// response, item-level application error or bad code fails the batch.
 func (c *Client) GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]byte, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	params := make([][]any, len(addrs))
+	n := int64(len(addrs))
+	base := c.nextID.Add(n) - n + 1
+	reqs := make([]wireRequest, len(addrs))
 	for i, a := range addrs {
-		params[i] = []any{a.String(), "latest"}
+		reqs[i] = wireRequest{JSONRPC: "2.0", ID: base + int64(i), Method: "eth_getCode", Params: []any{a.String(), "latest"}}
 	}
-	raws, err := c.callBatch(ctx, "eth_getCode", params)
+	reqBody, err := json.Marshal(reqs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ethrpc: marshal batch: %w", err)
+	}
+	var resps []wireResponse[hexCode]
+	if err := c.post(ctx, reqBody, &resps); err != nil {
+		return nil, fmt.Errorf("ethrpc: eth_getCode batch: %w", err)
+	}
+	// A repeated id keeps its last response; ids outside the batch are
+	// ignored.
+	byItem := make([]*wireResponse[hexCode], len(addrs))
+	for i := range resps {
+		if k := resps[i].ID - base; k >= 0 && k < n {
+			byItem[k] = &resps[i]
+		}
 	}
 	out := make([][]byte, len(addrs))
-	for i, raw := range raws {
-		if out[i], err = decodeCodeResult(raw); err != nil {
+	for i, resp := range byItem {
+		if resp == nil {
+			return nil, fmt.Errorf("ethrpc: eth_getCode batch: missing response for item %d", i)
+		}
+		if resp.Error != nil {
+			return nil, fmt.Errorf("ethrpc: eth_getCode batch item %d: %w", i, resp.Error)
+		}
+		if out[i], err = resp.Result.bytes(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func decodeCodeResult(raw json.RawMessage) ([]byte, error) {
-	var hexCode string
-	if err := json.Unmarshal(raw, &hexCode); err != nil {
-		return nil, fmt.Errorf("ethrpc: eth_getCode result not a string: %w", err)
+// hexCode is an eth_getCode result decoded straight from its JSON literal
+// inside the response body: the hex digits are decoded into one
+// exactly-sized slice, with no intermediate string. A decode failure is
+// kept rather than returned, so a bad entry fails a batch only when it
+// answers one of the batch's ids (exactly as if it had been decoded on
+// demand), and the envelope's error member still takes precedence.
+type hexCode struct {
+	code []byte
+	err  error
+	set  bool // the result member was present (null included)
+}
+
+func (h *hexCode) UnmarshalJSON(lit []byte) error {
+	*h = hexCode{set: true}
+	h.code, h.err = decodeCodeLiteral(lit)
+	return nil
+}
+
+// bytes returns the decoded code; an answer with neither a result nor an
+// error is refused.
+func (h *hexCode) bytes() ([]byte, error) {
+	if !h.set {
+		return nil, errors.New("ethrpc: eth_getCode response has no result")
 	}
-	if hexCode == "0x" || hexCode == "" {
+	return h.code, h.err
+}
+
+// decodeCodeLiteral decodes one eth_getCode JSON literal (already validated
+// by json.Unmarshal). null, "0x" and "" mean no code. Digits containing a
+// backslash escape or a non-ASCII byte are unquoted by encoding/json first;
+// every other literal is hex-decoded in place.
+func decodeCodeLiteral(lit []byte) ([]byte, error) {
+	if string(lit) == "null" {
 		return nil, nil
 	}
-	code, err := evm.DecodeHex(hexCode)
+	if lit[0] != '"' {
+		return nil, fmt.Errorf("ethrpc: eth_getCode result not a string: %.32s", lit)
+	}
+	var code []byte
+	var err error
+	if digits := lit[1 : len(lit)-1]; plainASCII(digits) {
+		if len(digits) == 0 || string(digits) == "0x" {
+			return nil, nil
+		}
+		code, err = evm.DecodeHexBytes(digits)
+	} else {
+		var s string
+		if err := json.Unmarshal(lit, &s); err != nil {
+			return nil, fmt.Errorf("ethrpc: eth_getCode result not a string: %w", err)
+		}
+		if s == "" || s == "0x" {
+			return nil, nil
+		}
+		code, err = evm.DecodeHex(s)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ethrpc: eth_getCode returned bad hex: %w", err)
 	}
 	return code, nil
 }
 
+// plainASCII reports whether a JSON string's raw contents equal its
+// unquoted value: no escapes and no multi-byte (possibly invalid) UTF-8.
+func plainASCII(b []byte) bool {
+	for _, c := range b {
+		if c == '\\' || c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
 // BlockNumber returns the node's head block number.
 func (c *Client) BlockNumber(ctx context.Context) (uint64, error) {
-	raw, err := c.call(ctx, "eth_blockNumber")
+	s, err := call[string](ctx, c, "eth_blockNumber")
 	if err != nil {
 		return 0, err
 	}
-	return parseHexUint(raw)
+	return parseHexQuantity(s)
 }
 
 // ChainID returns the node's chain identifier.
 func (c *Client) ChainID(ctx context.Context) (uint64, error) {
-	raw, err := c.call(ctx, "eth_chainId")
+	s, err := call[string](ctx, c, "eth_chainId")
 	if err != nil {
 		return 0, err
 	}
-	return parseHexUint(raw)
+	return parseHexQuantity(s)
 }
 
-func parseHexUint(raw json.RawMessage) (uint64, error) {
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return 0, fmt.Errorf("ethrpc: result not a string: %w", err)
-	}
-	s = strings.TrimPrefix(s, "0x")
-	v, err := strconv.ParseUint(s, 16, 64)
+// parseHexQuantity parses a JSON-RPC hex quantity ("0x1a"; some nodes omit
+// the prefix).
+func parseHexQuantity(s string) (uint64, error) {
+	v, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("ethrpc: bad hex quantity %q: %w", s, err)
 	}

@@ -336,7 +336,7 @@ func TestClient429ExhaustsRetries(t *testing.T) {
 }
 
 func TestHexQuantityParsing(t *testing.T) {
-	// BlockNumber and ChainID share parseHexUint; malformed results from a
+	// BlockNumber and ChainID share parseHexQuantity; malformed results from a
 	// broken node must surface as errors, not zero values.
 	for _, tc := range []struct {
 		name, result string

@@ -336,7 +336,7 @@ func (s *Server) newPendingTxFilter(params []json.RawMessage) (any, *rpcError) {
 		if err := json.Unmarshal(params[0], &tag); err != nil {
 			return nil, &rpcError{codeInvalidParams, "fromBlock must be a hex-quantity string"}
 		}
-		from, err := parseHexUint(params[0])
+		from, err := parseHexQuantity(tag)
 		if err != nil {
 			return nil, &rpcError{codeInvalidParams, "bad fromBlock " + tag}
 		}

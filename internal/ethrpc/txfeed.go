@@ -55,10 +55,10 @@ func (w *decodedWireTx) decode() (PendingTx, error) {
 	if tx.To, err = chain.ParseAddress(w.To); err != nil {
 		return tx, err
 	}
-	if tx.Value, err = parseHexUint([]byte(`"` + w.Value + `"`)); err != nil {
+	if tx.Value, err = parseHexQuantity(w.Value); err != nil {
 		return tx, err
 	}
-	if tx.Block, err = parseHexUint([]byte(`"` + w.BlockNumber + `"`)); err != nil {
+	if tx.Block, err = parseHexQuantity(w.BlockNumber); err != nil {
 		return tx, err
 	}
 	if w.Input != "" && w.Input != "0x" {
@@ -82,15 +82,11 @@ func filterError(err error) error {
 // fromBlock and returns its ID. Filters are per-node server state: after a
 // failover the ID is worthless and must be reinstalled.
 func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (string, error) {
-	raw, err := c.call(ctx, "eth_newPendingTransactionFilter", hexUint(fromBlock))
-	if err != nil {
-		return "", err
+	id, err := call[string](ctx, c, "eth_newPendingTransactionFilter", hexUint(fromBlock))
+	if err == nil && id == "" {
+		err = errors.New("ethrpc: eth_newPendingTransactionFilter returned no filter ID")
 	}
-	var id string
-	if err := json.Unmarshal(raw, &id); err != nil {
-		return "", fmt.Errorf("ethrpc: filter ID not a string: %w", err)
-	}
-	return id, nil
+	return id, err
 }
 
 // TxFilterChanges drains the filter's newly visible transactions (full tx
@@ -98,49 +94,56 @@ func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (stri
 // token however many txs it returns. A forgotten filter surfaces as
 // ErrFilterNotFound.
 func (c *Client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, error) {
-	raw, err := c.call(ctx, "eth_getFilterChanges", id)
+	list, err := call[txList](ctx, c, "eth_getFilterChanges", id)
 	if err != nil {
 		return nil, filterError(err)
 	}
-	var wire []decodedWireTx
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return nil, fmt.Errorf("ethrpc: eth_getFilterChanges result: %w", err)
+	if !list.set {
+		return nil, errors.New("ethrpc: eth_getFilterChanges response has no result")
 	}
-	out := make([]PendingTx, len(wire))
-	for i := range wire {
-		if out[i], err = wire[i].decode(); err != nil {
+	if list.err != nil {
+		return nil, fmt.Errorf("ethrpc: eth_getFilterChanges result: %w", list.err)
+	}
+	out := make([]PendingTx, len(list.txs))
+	for i := range list.txs {
+		if out[i], err = list.txs[i].decode(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// txList is an eth_getFilterChanges result. Like hexCode it keeps its
+// decode failure instead of returning it, so the envelope's error member
+// (a forgotten filter → ErrFilterNotFound) takes precedence over a
+// malformed list. The list is therefore decoded from its own literal, each
+// time the member occurs: a repeated member replaces the list rather than
+// merging into it, and set tells an absent member from null. One poll
+// carries at most a few hundred txs, so this copy-free second pass over the
+// literal stays off the code-fetch hot path.
+type txList struct {
+	txs []decodedWireTx
+	err error
+	set bool
+}
+
+func (l *txList) UnmarshalJSON(lit []byte) error {
+	*l = txList{set: true}
+	l.err = json.Unmarshal(lit, &l.txs)
+	return nil
+}
+
 // UninstallFilter removes a filter, reporting whether the node knew it.
 func (c *Client) UninstallFilter(ctx context.Context, id string) (bool, error) {
-	raw, err := c.call(ctx, "eth_uninstallFilter", id)
-	if err != nil {
-		return false, err
-	}
-	var ok bool
-	if err := json.Unmarshal(raw, &ok); err != nil {
-		return false, fmt.Errorf("ethrpc: eth_uninstallFilter result: %w", err)
-	}
-	return ok, nil
+	return call[bool](ctx, c, "eth_uninstallFilter", id)
 }
 
 // GetTransactionByHash fetches one transaction; ok=false means the node does
 // not know the hash (result null).
 func (c *Client) GetTransactionByHash(ctx context.Context, hash [32]byte) (PendingTx, bool, error) {
-	raw, err := c.call(ctx, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
-	if err != nil {
+	wire, err := call[*decodedWireTx](ctx, c, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
+	if err != nil || wire == nil {
 		return PendingTx{}, false, err
-	}
-	if len(raw) == 0 || string(raw) == "null" {
-		return PendingTx{}, false, nil
-	}
-	var wire decodedWireTx
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return PendingTx{}, false, fmt.Errorf("ethrpc: eth_getTransactionByHash result: %w", err)
 	}
 	tx, err := wire.decode()
 	return tx, err == nil, err

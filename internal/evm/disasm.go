@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/hex"
 	"fmt"
@@ -111,14 +112,38 @@ func DecodeHex(s string) ([]byte, error) {
 	s = strings.TrimPrefix(s, "0x")
 	s = strings.TrimPrefix(s, "0X")
 	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("evm: odd-length hex bytecode (%d nibbles)", len(s))
+		return nil, oddHexError(len(s))
 	}
 	b, err := hex.DecodeString(s)
 	if err != nil {
-		return nil, fmt.Errorf("evm: invalid hex bytecode: %w", err)
+		return nil, badHexError(err)
 	}
 	return b, nil
 }
+
+// DecodeHexBytes is DecodeHex over bytes still inside a wire buffer (the
+// JSON-RPC client decodes eth_getCode literals in place), with the same
+// trimming, prefixes and error texts. It allocates only the exactly-sized
+// result and does not retain s.
+func DecodeHexBytes(s []byte) ([]byte, error) {
+	s = bytes.TrimSpace(s)
+	s = bytes.TrimPrefix(s, []byte("0x"))
+	s = bytes.TrimPrefix(s, []byte("0X"))
+	if len(s)%2 != 0 {
+		return nil, oddHexError(len(s))
+	}
+	b := make([]byte, len(s)/2)
+	if _, err := hex.Decode(b, s); err != nil {
+		return nil, badHexError(err)
+	}
+	return b, nil
+}
+
+func oddHexError(nibbles int) error {
+	return fmt.Errorf("evm: odd-length hex bytecode (%d nibbles)", nibbles)
+}
+
+func badHexError(err error) error { return fmt.Errorf("evm: invalid hex bytecode: %w", err) }
 
 // EncodeHex renders bytecode as a 0x-prefixed lowercase hex string, the wire
 // format returned by eth_getCode.

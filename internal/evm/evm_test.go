@@ -2,6 +2,7 @@ package evm
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -228,6 +229,24 @@ func TestDecodeHex(t *testing.T) {
 		}
 		if err == nil && !bytes.Equal(got, tt.want) {
 			t.Errorf("DecodeHex(%q) = %x, want %x", tt.in, got, tt.want)
+		}
+	}
+}
+
+// TestDecodeHexBytesMatchesDecodeHex pins the byte-slice twin to the string
+// decoder: same bytes (nil-ness included) and same error text on every case.
+func TestDecodeHexBytesMatchesDecodeHex(t *testing.T) {
+	for _, in := range []string{
+		"", "0x", "0X", " 0x ", "0x6080", "6080", "0X6080", "0x0X60", "0x0x60",
+		"  0x00ff \n", "\u00a00x60\u2003", "0x608", "0xzz", "0x6g", "0x60\x00", "0x 60",
+	} {
+		want, wantErr := DecodeHex(in)
+		got, err := DecodeHexBytes([]byte(in))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("DecodeHexBytes(%q) error = %v, DecodeHex has %v", in, err, wantErr)
+		}
+		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Errorf("DecodeHexBytes(%q) = %#v, DecodeHex has %#v", in, got, want)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func (c *Crawler) getOnce(ctx context.Context, u string, into any) (retryable bo
 	if err != nil {
 		return true, err
 	}
-	defer resp.Body.Close()
+	defer ethrpc.DrainClose(resp.Body)
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
